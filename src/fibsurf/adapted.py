@@ -36,15 +36,18 @@ executable rather than a congruence test on M.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from functools import cached_property
+from math import gcd
 
 from .errors import (
     DimensionMismatch,
     InvariantViolation,
     NotUnimodular,
+    PostconditionFailed,
     QuotientNotBicyclic,
 )
 from .intlinalg import (
+    Factored,
     IntMatrix,
     column_lattice_basis,
     combo,
@@ -69,9 +72,20 @@ from .lattice_core import (
 Vector = tuple[int, ...]
 
 
+def _column_matrix(cols) -> IntMatrix:
+    """Trusted matrix whose columns are the given int vectors."""
+    return IntMatrix._of(tuple(zip(*cols)))
+
+
 @dataclass(frozen=True)
 class AdaptedBasisProblem:
-    """Input data: ambient form plus column-generator matrices for U, U_A, U_E."""
+    """Input data: ambient form plus column-generator matrices for U, U_A, U_E.
+
+    The Smith forms of U, U_A and U_E are computed on first use and kept
+    with the problem, so validation, construction and every verification
+    against the same problem share them.  They are not fields: equality and
+    hashing see only the declared data.
+    """
 
     g: int
     d: int
@@ -79,6 +93,18 @@ class AdaptedBasisProblem:
     form: AlternatingForm
     U_A: IntMatrix
     U_E: IntMatrix
+
+    @cached_property
+    def factored_U(self) -> Factored:
+        return Factored(self.U)
+
+    @cached_property
+    def factored_U_A(self) -> Factored:
+        return Factored(self.U_A)
+
+    @cached_property
+    def factored_U_E(self) -> Factored:
+        return Factored(self.U_E)
 
 
 class _NotAdapted:
@@ -173,7 +199,9 @@ def canonical_problem(g: int, d: int) -> AdaptedBasisProblem:
     )
 
 
-def _validate_problem(p: AdaptedBasisProblem) -> None:
+def _validate_problem(p: AdaptedBasisProblem) -> tuple[IntMatrix, IntMatrix]:
+    """Check every input invariant; return the symplectic normal-form bases
+    (in generator coordinates) of U_A and U_E computed along the way."""
     g, d = p.g, p.d
     if g < 2:
         raise InvariantViolation("genus must be at least 2")
@@ -189,25 +217,28 @@ def _validate_problem(p: AdaptedBasisProblem) -> None:
             raise InvariantViolation(f"{name} does not live in the ambient space")
         if mat.cols != cols:
             raise InvariantViolation(f"{name} must have {cols} generator columns")
-    if rank(p.U) != 2 * g:
+    if p.factored_U.rank() != 2 * g:
         raise InvariantViolation("U does not have full rank 2g")
-    if solve_integer(p.U, p.U_A) is None:
+    if p.factored_U.solve(p.U_A) is None:
         raise InvariantViolation("U_A is not contained in U")
-    if solve_integer(p.U, p.U_E) is None:
+    if p.factored_U.solve(p.U_E) is None:
         raise InvariantViolation("U_E is not contained in U")
-    joint = IntMatrix.from_columns(p.U_A.columns() + p.U_E.columns())
+    joint = IntMatrix._of(tuple(ra + re for ra, re in zip(p.U_A.entries(), p.U_E.entries())))
     if rank(joint) != 2 * g:
         raise InvariantViolation("U_A and U_E intersect nontrivially")
     if polarization_type(AlternatingForm(gram_in_basis(p.form.gram, p.U))) != principal_type(g):
         raise InvariantViolation("form restricted to U is not principal")
-    if polarization_type(AlternatingForm(gram_in_basis(p.form.gram, p.U_A))) != coprincipal_type(g - 1, d):
+    basis_a, type_a = frobenius_basis(AlternatingForm(gram_in_basis(p.form.gram, p.U_A)))
+    if type_a != coprincipal_type(g - 1, d):
         raise InvariantViolation(
             f"form restricted to U_A is not of type {coprincipal_type(g - 1, d).divisors}"
         )
-    if polarization_type(AlternatingForm(gram_in_basis(p.form.gram, p.U_E))) != coprincipal_type(1, d):
+    basis_e, type_e = frobenius_basis(AlternatingForm(gram_in_basis(p.form.gram, p.U_E)))
+    if type_e != coprincipal_type(1, d):
         raise InvariantViolation(f"form restricted to U_E is not of type ({d},)")
     if not (p.U_A.transpose() * p.form.gram * p.U_E).is_zero():
         raise InvariantViolation("U_A and U_E are not orthogonal")
+    return basis_a, basis_e
 
 
 def _coprime_congruent_pair(alpha: int, beta: int, d: int) -> tuple[int, int]:
@@ -216,11 +247,14 @@ def _coprime_congruent_pair(alpha: int, beta: int, d: int) -> tuple[int, int]:
     Requires gcd(alpha, beta, d) = 1.  For every prime l dividing both the
     first coordinate and d, l cannot divide beta, so the scan below only has
     to dodge the primes of the first coordinate away from d; a valid offset
-    exists within their radical.
+    exists within their radical.  Without the precondition no offset works
+    (gcd(alpha, beta, d) divides every candidate pair), so it is checked.
     """
     a, b = alpha % d, beta % d
     if a == 0 and b == 0:
         raise InvariantViolation("frame is degenerate modulo d")
+    if gcd(a, b, d) != 1:
+        raise InvariantViolation(f"gcd({alpha}, {beta}, {d}) != 1: frame is not primitive mod d")
     if a == 0:
         return d, b  # gcd(d, beta) = 1 here
     if b == 0:
@@ -231,33 +265,27 @@ def _coprime_congruent_pair(alpha: int, beta: int, d: int) -> tuple[int, int]:
     return a, b + k * d
 
 
-def _divide_in_lattice(
-    u: IntMatrix, numerator: Vector, d: int
-) -> Vector:
-    """The vector v in the column lattice of ``u`` with d*v = numerator."""
-    coords = solve_integer(u, IntMatrix.from_columns([numerator]))
+def _divide_in_lattice(u: Factored, numerator: Vector, d: int) -> Vector:
+    """The vector v in the column lattice of ``u.a`` with d*v = numerator."""
+    coords = u.solve(_column_matrix([numerator]))
     assert coords is not None, "numerator does not lie in the lattice"
     col = coords.column(0)
     assert all(c % d == 0 for c in col), "numerator is not divisible"
-    return mat_vec(u, tuple(c // d for c in col))
+    return mat_vec(u.a, tuple(c // d for c in col))
 
 
 def construct_adapted_basis(p: AdaptedBasisProblem) -> AdaptedBasis:
     """Produce an adapted basis for a valid problem (see module docstring)."""
-    _validate_problem(p)
-    g, d, gram = p.g, p.d, p.form.gram
-
     # symplectic normal forms of the two sublattices
-    basis_a, _ = frobenius_basis(AlternatingForm(gram_in_basis(gram, p.U_A)))
+    basis_a, basis_e = _validate_problem(p)
+    g, d, gram = p.g, p.d, p.form.gram
     cols_a = [mat_vec(p.U_A, c) for c in basis_a.columns()]  # e_1..e_{g-1}, f_1..f_{g-1}
-    basis_e, _ = frobenius_basis(AlternatingForm(gram_in_basis(gram, p.U_E)))
     x, y = (mat_vec(p.U_E, c) for c in basis_e.columns())  # (x, y) = d
 
-    w_cols = cols_a + [x, y]
-    w_mat = IntMatrix.from_columns(w_cols)
+    w_mat = _column_matrix(cols_a + [x, y])
 
     # quotient U / (U_A + U_E) via the Smith form of the inclusion
-    coords = solve_integer(p.U, w_mat)
+    coords = p.factored_U.solve(w_mat)
     assert coords is not None  # containment was validated
     snf = smith_normal_form(coords)
     expected = (1,) * (2 * g - 2) + (d, d)
@@ -268,11 +296,11 @@ def construct_adapted_basis(p: AdaptedBasisProblem) -> AdaptedBasis:
         )
     v1 = mat_vec(p.U, snf.s_inv.column(2 * g - 2))
     v2 = mat_vec(p.U, snf.s_inv.column(2 * g - 1))
+    w = Factored(w_mat)  # every split() below solves against it
 
     def split(v: Vector) -> tuple[Vector, Vector, tuple[int, ...]]:
         """d*v = a + b with a in U_A, b in U_E; returns (a, b, coords)."""
-        dv = IntMatrix.from_columns([tuple(d * t for t in v)])
-        c = solve_integer(w_mat, dv)
+        c = w.solve(_column_matrix([tuple(d * t for t in v)]))
         if c is None:
             raise InvariantViolation("d * v does not lie in U_A + U_E")
         cv = c.column(0)
@@ -334,9 +362,7 @@ def construct_adapted_basis(p: AdaptedBasisProblem) -> AdaptedBasis:
         assert b1 == x and b2 == y
         pa = pairing(gram, a1, a2)
     elif j:  # g == 2: U_A = <e, f> with (e, f) = d
-        coords_a = solve_integer(
-            IntMatrix.from_columns(cols_a), IntMatrix.from_columns([a1, a2])
-        )
+        coords_a = solve_integer(_column_matrix(cols_a), _column_matrix([a1, a2]))
         assert coords_a is not None
         (al1, al2), (be1, be2) = coords_a.entries()
         # (a1, a2) = -d + j*d^2 forces al_i, be_i to frame SL2(Z/d); lift
@@ -349,8 +375,8 @@ def construct_adapted_basis(p: AdaptedBasisProblem) -> AdaptedBasis:
         assert (rs[0] - al1) % d == 0 and (rs[1] - be1) % d == 0
         a2 = combo(cols_a, list(pq))
         a1 = combo(cols_a, list(rs))
-        v1 = _divide_in_lattice(p.U, combo([a1, x], [1, 1]), d)
-        v2 = _divide_in_lattice(p.U, combo([y, a2], [1, 1]), d)
+        v1 = _divide_in_lattice(p.factored_U, combo([a1, x], [1, 1]), d)
+        v2 = _divide_in_lattice(p.factored_U, combo([y, a2], [1, 1]), d)
         b1, b2 = x, y
         pa = pairing(gram, a1, a2)
     assert pa == -d, "normalization failed to reach (a1, a2) = -d"
@@ -366,9 +392,9 @@ def construct_adapted_basis(p: AdaptedBasisProblem) -> AdaptedBasis:
             ct2 = pairing(gram, t, v2)
             ct1 = pairing(gram, t, v1)
             projected.append(combo([t, a1, a2], [1, ct2, -ct1]))
-        k_cols = column_lattice_basis(IntMatrix.from_columns(projected))
+        k_cols = column_lattice_basis(_column_matrix(projected))
         assert len(k_cols) == 2 * g - 4, "complement has unexpected rank"
-        k_mat = IntMatrix.from_columns(k_cols)
+        k_mat = _column_matrix(k_cols)
         basis_k, ptype_k = frobenius_basis(
             AlternatingForm(gram_in_basis(gram, k_mat))
         )
@@ -378,7 +404,8 @@ def construct_adapted_basis(p: AdaptedBasisProblem) -> AdaptedBasis:
 
     vectors = tuple(k_e) + (a2, b1) + tuple(k_f) + (v1, v2)
     result = AdaptedBasis(g=g, d=d, vectors=vectors)
-    assert is_adapted_basis(p, result), "construction postcondition failed"
+    if not is_adapted_basis(p, result):
+        raise PostconditionFailed("construction postcondition failed")
     return result
 
 
@@ -391,14 +418,14 @@ def is_adapted_basis(p: AdaptedBasisProblem, b: AdaptedBasis) -> bool:
     g, d = p.g, p.d
 
     # (1) the listed vectors are a Z-basis of U
-    coords = solve_integer(p.U, b.listed_matrix())
+    coords = p.factored_U.solve(b.listed_matrix())
     if coords is None or coords.det() not in (1, -1):
         return False
 
     # (2) u_1..u_{g-1}, u_{g+1}..u_{2g-1} is a symplectic basis of U_A of
     #     type (1, ..., 1, d)
     part_a = IntMatrix.from_columns(b.u_a_part())
-    coords_a = solve_integer(p.U_A, part_a)
+    coords_a = p.factored_U_A.solve(part_a)
     if coords_a is None or coords_a.det() not in (1, -1):
         return False
     if gram_in_basis(p.form.gram, part_a) != block_normal_gram(coprincipal_type(g - 1, d)):
@@ -406,7 +433,7 @@ def is_adapted_basis(p: AdaptedBasisProblem, b: AdaptedBasis) -> bool:
 
     # (3) u_g, u_{2g} is a symplectic basis of U_E of type (d)
     part_e = IntMatrix.from_columns(list(b.u_e_part()))
-    coords_e = solve_integer(p.U_E, part_e)
+    coords_e = p.factored_U_E.solve(part_e)
     if coords_e is None or coords_e.det() not in (1, -1):
         return False
     if gram_in_basis(p.form.gram, part_e) != IntMatrix([[0, d], [-d, 0]]):
@@ -434,18 +461,17 @@ def change_basis(
     new_u_2g = combo([u_g, u_2g], [m[1, 0], m[1, 1]])
 
     old_basis = b.listed_matrix()
-    candidates = []
-    for num in (
+    numerators = IntMatrix.from_columns([
         combo([new_u_g, b.u(2 * g - 1)], [1, 1]),
         combo([new_u_2g, b.u(g - 1)], [1, 1]),
-    ):
-        coords = solve_integer(old_basis, IntMatrix.from_columns([num]))
-        assert coords is not None  # numerator manifestly lies in U
-        col = coords.column(0)
-        if any(c % d for c in col):
-            return NOT_ADAPTED
-        candidates.append(mat_vec(old_basis, tuple(c // d for c in col)))
-    new_u_2g1, new_u_2g2 = candidates
+    ])
+    coords = solve_integer(old_basis, numerators)
+    assert coords is not None  # both numerators manifestly lie in U
+    if any(c % d for row in coords.entries() for c in row):
+        return NOT_ADAPTED
+    new_u_2g1, new_u_2g2 = (
+        mat_vec(old_basis, tuple(c // d for c in col)) for col in coords.columns()
+    )
 
     vectors = list(b.vectors)
     vectors[g - 1] = new_u_g

@@ -16,6 +16,11 @@ class DomainError(Exception):
         return type(self).__name__
 
 
+class PostconditionFailed(DomainError):
+    """A computed result failed the check that certifies it.  Raised instead
+    of ``assert`` so the check also runs under ``python -O``."""
+
+
 # --- exact linear algebra / alternating forms ------------------------------
 
 class NotAlternating(DomainError):

@@ -2,25 +2,36 @@
 
 Everything in here works on plain Python ints (no floats, no numpy), because
 downstream facts — polarization types, group membership, unimodularity — are
-exact statements.  Matrices are small (at most ~8x8 in practice), so the
-classical fraction-free algorithms below are entirely adequate.
+exact statements.  Matrices are small (at most about 12x12 in practice), so
+the classical fraction-free algorithms below are entirely adequate.
 
 Conventions:
   * ``IntMatrix`` is immutable; entries are stored row-major as a tuple of
     tuples.
+  * the public constructor ``IntMatrix(rows)`` coerces every entry with
+    ``int()`` and rejects empty or ragged input.  Matrices this module
+    produces itself (products, sums, transposes, Smith transforms, solutions)
+    are built with the trusted ``IntMatrix._of(rows)``, which takes a ready
+    non-empty tuple of equal-length int tuples and checks nothing.  Code
+    outside the package should use the public constructor.
   * lattice vectors are plain tuples of ints; a matrix of column generators
     is converted with :func:`from_columns` / :meth:`IntMatrix.columns`.
   * ``smith_normal_form`` returns the diagonal together with *all four*
     transition matrices (S, T and their inverses), since quotient-group
     computations need the inverse of the row transform.
+  * ``Factored(a)`` holds one Smith form of ``a`` and answers ``solve(b)``
+    and ``rank()`` from it, so a caller that solves several systems against
+    the same matrix factors it once; ``solve_integer`` and ``rank`` are the
+    one-shot forms of the same code.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import mul
 from typing import Iterable, NamedTuple, Sequence
 
-from .errors import DimensionMismatch, NotUnimodular
+from .errors import DimensionMismatch, NotUnimodular, PostconditionFailed
 
 
 def xgcd(a: int, b: int) -> tuple[int, int, int]:
@@ -71,13 +82,29 @@ class IntMatrix:
 
     # -- constructors ---------------------------------------------------
 
+    @classmethod
+    def _of(cls, rows: tuple[tuple[int, ...], ...]) -> "IntMatrix":
+        """Trusted constructor: ``rows`` is a non-empty tuple of equal-length,
+        non-empty tuples of ints, and is neither copied nor checked."""
+        m = _new(cls)
+        _set_rows(m, len(rows))
+        _set_cols(m, len(rows[0]))
+        _set_e(m, rows)
+        return m
+
     @staticmethod
     def identity(n: int) -> "IntMatrix":
-        return IntMatrix([[1 if i == j else 0 for j in range(n)] for i in range(n)])
+        if n < 1:
+            raise DimensionMismatch("matrix dimensions must be positive")
+        return IntMatrix._of(
+            tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
+        )
 
     @staticmethod
     def zero(rows: int, cols: int) -> "IntMatrix":
-        return IntMatrix([[0] * cols for _ in range(rows)])
+        if rows < 1 or cols < 1:
+            raise DimensionMismatch("matrix dimensions must be positive")
+        return IntMatrix._of(((0,) * cols,) * rows)
 
     @staticmethod
     def from_columns(cols: Sequence[Sequence[int]]) -> "IntMatrix":
@@ -110,7 +137,9 @@ class IntMatrix:
         return [list(r) for r in self._e]
 
     def submatrix(self, row_idx: Sequence[int], col_idx: Sequence[int]) -> "IntMatrix":
-        return IntMatrix([[self._e[i][j] for j in col_idx] for i in row_idx])
+        if not row_idx or not col_idx:
+            raise DimensionMismatch("matrix dimensions must be positive")
+        return IntMatrix._of(tuple(tuple(self._e[i][j] for j in col_idx) for i in row_idx))
 
     # -- algebra ---------------------------------------------------------
 
@@ -121,13 +150,13 @@ class IntMatrix:
         return hash(self._e)
 
     def __neg__(self) -> "IntMatrix":
-        return IntMatrix([[-x for x in r] for r in self._e])
+        return IntMatrix._of(tuple(tuple(-x for x in r) for r in self._e))
 
     def __add__(self, other: "IntMatrix") -> "IntMatrix":
         if (self.rows, self.cols) != (other.rows, other.cols):
             raise DimensionMismatch("matrix addition shape mismatch")
-        return IntMatrix(
-            [[a + b for a, b in zip(r, s)] for r, s in zip(self._e, other._e)]
+        return IntMatrix._of(
+            tuple(tuple(a + b for a, b in zip(r, s)) for r, s in zip(self._e, other._e))
         )
 
     def __sub__(self, other: "IntMatrix") -> "IntMatrix":
@@ -138,19 +167,16 @@ class IntMatrix:
             raise DimensionMismatch(
                 f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}"
             )
-        ot = other._e
-        out = []
-        for r in self._e:
-            out.append(
-                [sum(r[k] * ot[k][j] for k in range(self.cols)) for j in range(other.cols)]
-            )
-        return IntMatrix(out)
+        cols = tuple(zip(*other._e))
+        return IntMatrix._of(
+            tuple(tuple(sum(map(mul, r, c)) for c in cols) for r in self._e)
+        )
 
     def scale(self, k: int) -> "IntMatrix":
-        return IntMatrix([[k * x for x in r] for r in self._e])
+        return IntMatrix._of(tuple(tuple(k * x for x in r) for r in self._e))
 
     def transpose(self) -> "IntMatrix":
-        return IntMatrix([self.column(j) for j in range(self.cols)])
+        return IntMatrix._of(tuple(zip(*self._e)))
 
     def trace(self) -> int:
         if self.rows != self.cols:
@@ -209,18 +235,24 @@ class IntMatrix:
         return sign * a[n - 1][n - 1]
 
 
+# slot setters that bypass the immutability guard, for the trusted constructor
+_new = object.__new__
+_set_rows = IntMatrix.rows.__set__
+_set_cols = IntMatrix.cols.__set__
+_set_e = IntMatrix._e.__set__
+
+
 def mat_vec(m: IntMatrix, v: Sequence[int]) -> tuple[int, ...]:
     if m.cols != len(v):
         raise DimensionMismatch("matrix-vector shape mismatch")
-    return tuple(sum(r[j] * v[j] for j in range(m.cols)) for r in m.entries())
+    return tuple(sum(map(mul, r, v)) for r in m.entries())
 
 
 def combo(vectors: Sequence[Sequence[int]], coeffs: Sequence[int]) -> tuple[int, ...]:
     """Integer linear combination of equal-length vectors."""
     if len(vectors) != len(coeffs):
         raise DimensionMismatch("coefficient count mismatch")
-    n = len(vectors[0])
-    return tuple(sum(c * v[i] for v, c in zip(vectors, coeffs)) for i in range(n))
+    return tuple(sum(map(mul, coeffs, entries)) for entries in zip(*vectors))
 
 
 def vec_sub(x: Sequence[int], y: Sequence[int]) -> tuple[int, ...]:
@@ -261,10 +293,11 @@ def smith_normal_form(m: IntMatrix) -> SmithForm:
     """
     a = m.tolists()
     nr, nc = m.rows, m.cols
-    s = IntMatrix.identity(nr).tolists()
-    s_inv = IntMatrix.identity(nr).tolists()
-    t = IntMatrix.identity(nc).tolists()
-    t_inv = IntMatrix.identity(nc).tolists()
+
+    def eye(n):
+        return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+
+    s, s_inv, t, t_inv = eye(nr), eye(nr), eye(nc), eye(nc)
 
     def swap_rows(i, j):
         a[i], a[j] = a[j], a[i]
@@ -281,10 +314,8 @@ def smith_normal_form(m: IntMatrix) -> SmithForm:
 
     def add_row(src, dst, c):
         # row dst += c * row src
-        for j in range(nc):
-            a[dst][j] += c * a[src][j]
-        for j in range(nr):
-            s[dst][j] += c * s[src][j]
+        a[dst] = [x + c * y for x, y in zip(a[dst], a[src])]
+        s[dst] = [x + c * y for x, y in zip(s[dst], s[src])]
         for i in range(nr):
             s_inv[i][src] -= c * s_inv[i][dst]
 
@@ -293,8 +324,7 @@ def smith_normal_form(m: IntMatrix) -> SmithForm:
             r[dst] += c * r[src]
         for r in t:
             r[dst] += c * r[src]
-        for j in range(nc):
-            t_inv[src][j] -= c * t_inv[dst][j]
+        t_inv[src] = [x - c * y for x, y in zip(t_inv[src], t_inv[dst])]
 
     def negate_row(i):
         a[i] = [-x for x in a[i]]
@@ -359,40 +389,60 @@ def smith_normal_form(m: IntMatrix) -> SmithForm:
             negate_row(k)
         k += 1
 
-    return SmithForm(
-        IntMatrix(a), IntMatrix(s), IntMatrix(t), IntMatrix(s_inv), IntMatrix(t_inv)
-    )
+    return SmithForm(*(IntMatrix._of(tuple(map(tuple, x))) for x in (a, s, t, s_inv, t_inv)))
+
+
+class Factored:
+    """One Smith form S * A * T = D of a matrix A, reused for every solve.
+
+    A * x = b  <=>  D * (T^-1 x) = S * b, so x = T * y where y_i = (S b)_i / d_i
+    must be integral, and (S b)_i must vanish wherever d_i = 0.
+    """
+
+    __slots__ = ("a", "snf", "diag")
+
+    def __init__(self, a: IntMatrix):
+        self.a = a
+        self.snf = smith_normal_form(a)
+        self.diag = self.snf.diagonal()
+
+    def rank(self) -> int:
+        return sum(1 for x in self.diag if x != 0)
+
+    def solve(self, b: IntMatrix) -> IntMatrix | None:
+        """Solve A * x = b over the integers; None when no integral solution.
+
+        ``b`` may have several columns (solved simultaneously).
+        """
+        a = self.a
+        if a.rows != b.rows:
+            raise DimensionMismatch("solve: row counts differ")
+        diag = self.diag
+        y = [(0,) * b.cols] * a.cols
+        for i, row in enumerate((self.snf.s * b).entries()):
+            d = diag[i] if i < len(diag) else 0
+            if d == 0:
+                if any(row):
+                    return None
+                continue
+            qr = [divmod(v, d) for v in row]
+            if any(r for _, r in qr):
+                return None
+            y[i] = tuple(q for q, _ in qr)
+        return self.snf.t * IntMatrix._of(tuple(y))
 
 
 def rank(m: IntMatrix) -> int:
-    return sum(1 for x in smith_normal_form(m).diagonal() if x != 0)
+    return Factored(m).rank()
 
 
 def solve_integer(a: IntMatrix, b: IntMatrix) -> IntMatrix | None:
     """Solve a * x = b over the integers; None when no integral solution.
 
-    ``b`` may have several columns (solved simultaneously).
+    ``b`` may have several columns (solved simultaneously).  To solve
+    several systems against the same ``a``, use ``Factored(a).solve``.
     """
-    if a.rows != b.rows:
-        raise DimensionMismatch("solve: row counts differ")
-    snf = smith_normal_form(a)
-    rhs = snf.s * b
-    diag = snf.diagonal()
-    y = [[0] * b.cols for _ in range(a.cols)]
-    for i in range(a.rows):
-        d = diag[i] if i < len(diag) else 0
-        for j in range(b.cols):
-            v = rhs[i, j]
-            if d == 0:
-                if v != 0:
-                    return None
-            else:
-                q, r = divmod(v, d)
-                if r:
-                    return None
-                if i < a.cols:
-                    y[i][j] = q
-    return snf.t * IntMatrix(y) if y else None
+    return Factored(a).solve(b)
 
 
 def invert_unimodular(m: IntMatrix) -> IntMatrix:
@@ -429,7 +479,10 @@ def char_poly(m: IntMatrix) -> tuple[int, ...]:
     mk = m
     for k in range(1, n + 1):
         ck_frac = Fraction(-mk.trace(), k)
-        assert ck_frac.denominator == 1
+        if ck_frac.denominator != 1:
+            raise PostconditionFailed(
+                f"Faddeev-LeVerrier division by {k} is not exact: {ck_frac}"
+            )
         ck = int(ck_frac)
         coeffs.append(ck)
         if k < n:

@@ -23,6 +23,7 @@ from .errors import (
     NotCoprincipal,
     NotSymplectic,
     OddDimension,
+    PostconditionFailed,
 )
 from .intlinalg import IntMatrix, char_poly, smith_normal_form
 
@@ -97,7 +98,7 @@ def block_normal_gram(ptype: PolarizationType) -> IntMatrix:
     for i, d in enumerate(ptype.divisors):
         rows[i][g + i] = d
         rows[g + i][i] = -d
-    return IntMatrix(rows)
+    return IntMatrix._of(tuple(map(tuple, rows)))
 
 
 def frobenius_basis(form: AlternatingForm) -> tuple[IntMatrix, PolarizationType]:
@@ -204,11 +205,11 @@ def frobenius_basis(form: AlternatingForm) -> tuple[IntMatrix, PolarizationType]
     # reorder (e1, f1, e2, f2, ...) -> (e1..eg, f1..fg)
     g = n // 2
     perm = [2 * j for j in range(g)] + [2 * j + 1 for j in range(g)]
-    basis = IntMatrix(p).submatrix(range(n), perm)
+    basis = IntMatrix._of(tuple(tuple(r[j] for j in perm) for r in p))
     ptype = PolarizationType(tuple(divisors))
 
-    check = basis.transpose() * form.gram * basis
-    assert check == block_normal_gram(ptype), "normal-form postcondition failed"
+    if basis.transpose() * form.gram * basis != block_normal_gram(ptype):
+        raise PostconditionFailed("normal-form postcondition failed")
     return basis, ptype
 
 

@@ -48,6 +48,7 @@ from .errors import (
     DimensionMismatch,
     InvalidPeriodData,
     NotInGammaD,
+    PostconditionFailed,
     RiemannRelationViolation,
     UnsupportedCombination,
 )
@@ -194,7 +195,11 @@ def period_matrix(p: PeriodData) -> PeriodMatrix:
     # structural constants of the construction in this normalization
     corner = np.zeros(g, dtype=complex)
     corner[g - 2] = 1.0 / d
-    assert float(np.max(np.abs(t[g - 1, : g - 1] - corner[: g - 1]))) <= p.tol
+    corner_defect = float(np.max(np.abs(t[g - 1, : g - 1] - corner[: g - 1])))
+    if not corner_defect <= p.tol:
+        raise PostconditionFailed(
+            f"corner of T differs from its structural value (defect {corner_defect:.3e})"
+        )
     labels = tuple(f"alpha_{r}" for r in range(1, g + 1)) + tuple(
         f"beta_{r}" for r in range(1, g + 1)
     )

@@ -1,5 +1,6 @@
 """Construction and transformation of adapted bases."""
 
+import math
 from random import Random
 
 import pytest
@@ -250,3 +251,17 @@ def test_adapted_pairings_spotcheck():
             if i - j == half:
                 want = -divisors[j]
             assert pairing(gram, x, y) == want
+
+
+def test_coprime_congruent_pair_rejects_imprimitive_frame():
+    """gcd(2, 2 + 4k) = 2 for every k: once this looped forever."""
+    from fibsurf.adapted import _coprime_congruent_pair
+
+    with pytest.raises(InvariantViolation):
+        _coprime_congruent_pair(2, 2, 4)
+    with pytest.raises(InvariantViolation):
+        _coprime_congruent_pair(3, 6, 9)
+    for alpha, beta, d in ((2, 3, 4), (3, 0, 5), (0, 5, 6), (4, 6, 7), (6, 10, 15)):
+        p, q = _coprime_congruent_pair(alpha, beta, d)
+        assert (p - alpha) % d == 0 and (q - beta) % d == 0
+        assert math.gcd(p, q) == 1

@@ -1,0 +1,180 @@
+"""The factor-once exact core: ``Factored``, the trusted ``IntMatrix._of``
+path, and one Smith form per lattice in the adapted-basis pipeline."""
+
+from random import Random
+
+import pytest
+import sympy
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import fibsurf
+from fibsurf import (
+    DimensionMismatch,
+    Factored,
+    IntMatrix,
+    change_basis,
+    construct_adapted_basis,
+    is_adapted_basis,
+    smith_normal_form,
+    solve_integer,
+)
+from helpers import random_sl2_word, randomized_problem
+
+entry = st.integers(min_value=-12, max_value=12)
+
+
+@st.composite
+def matrices(draw, max_dim=6, rows=None, cols=None):
+    r = rows if rows is not None else draw(st.integers(1, max_dim))
+    c = cols if cols is not None else draw(st.integers(1, max_dim))
+    return IntMatrix(draw(st.lists(st.lists(entry, min_size=c, max_size=c), min_size=r, max_size=r)))
+
+
+@st.composite
+def systems(draw):
+    """(a, b, solvable) with equal row counts; half the time b = a * x."""
+    a = draw(matrices())
+    k = draw(st.integers(1, 3))
+    solvable = draw(st.booleans())
+    if solvable:
+        b = a * draw(matrices(rows=a.cols, cols=k))
+    else:
+        b = draw(matrices(rows=a.rows, cols=k))
+    return a, b, solvable
+
+
+def _all_int(m: IntMatrix) -> bool:
+    return all(type(x) is int for row in m.entries() for x in row)
+
+
+@settings(max_examples=150, deadline=None)
+@given(systems())
+def test_factored_solve_matches_solve_integer(system):
+    a, b, solvable = system
+    f = Factored(a)
+    x = f.solve(b)
+    assert x == solve_integer(a, b)
+    assert f.rank() == sympy.Matrix(a.tolists()).rank()
+    if solvable:
+        assert x is not None
+    if x is not None:
+        assert (x.rows, x.cols) == (a.cols, b.cols)
+        assert a * x == b
+        assert _all_int(x)
+
+
+@settings(max_examples=150, deadline=None)
+@given(matrices(max_dim=7))
+def test_smith_form_certificate(a):
+    snf = smith_normal_form(a)
+    assert snf.s * a * snf.t == snf.d
+    assert snf.s * snf.s_inv == IntMatrix.identity(a.rows)
+    assert snf.t * snf.t_inv == IntMatrix.identity(a.cols)
+    for i in range(a.rows):
+        for j in range(a.cols):
+            if i != j:
+                assert snf.d[i, j] == 0
+    diag = snf.diagonal()
+    assert all(v >= 0 for v in diag)
+    for u, v in zip(diag, diag[1:]):
+        assert (v == 0) if u == 0 else (v % u == 0)
+    for m in snf:
+        assert _all_int(m)
+
+
+def _rebuilt(m: IntMatrix) -> IntMatrix:
+    return IntMatrix(m.tolists())
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_trusted_results_equal_public_constructions(data):
+    a = data.draw(matrices())
+    b = data.draw(matrices(rows=a.cols))
+    c = data.draw(matrices(rows=a.rows, cols=a.cols))
+    k = data.draw(entry)
+    rows, cols = list(range(a.rows))[::2], list(range(a.cols))[::-1]
+    for m in (
+        a * b,
+        a + c,
+        a - c,
+        -a,
+        a.scale(k),
+        a.transpose(),
+        a.submatrix(rows, cols),
+        IntMatrix.identity(a.rows),
+        IntMatrix.zero(a.rows, a.cols),
+    ):
+        pub = _rebuilt(m)
+        assert m == pub and hash(m) == hash(pub)
+        assert (m.rows, m.cols) == (pub.rows, pub.cols)
+        assert m.entries() == tuple(tuple(r) for r in m.tolists())
+        assert _all_int(m)
+
+
+def test_public_constructor_still_validates():
+    for bad in ([], [[]], [[1, 2], [3]], [[1], [2, 3]]):
+        with pytest.raises(DimensionMismatch):
+            IntMatrix(bad)
+    with pytest.raises(DimensionMismatch):
+        IntMatrix.from_columns([(1, 2), (3,)])
+    for bad_call in (
+        lambda: IntMatrix.identity(0),
+        lambda: IntMatrix.zero(0, 2),
+        lambda: IntMatrix.zero(2, 0),
+        lambda: IntMatrix.identity(2).submatrix([], [0]),
+    ):
+        with pytest.raises(DimensionMismatch):
+            bad_call()
+    m = IntMatrix([[True, 2.0], ["3", 4]])
+    assert m.entries() == ((1, 2), (3, 4)) and _all_int(m)
+
+
+def test_solve_row_mismatch_raises():
+    with pytest.raises(DimensionMismatch):
+        Factored(IntMatrix.identity(2)).solve(IntMatrix.identity(3))
+    with pytest.raises(DimensionMismatch):
+        solve_integer(IntMatrix.identity(2), IntMatrix.identity(3))
+
+
+# --------------------------------------------------------- factor once
+
+
+def _count_smith_forms(monkeypatch) -> list[int]:
+    """Count every Smith form, wherever a module holds the function."""
+    calls = [0]
+    original = fibsurf.intlinalg.smith_normal_form
+
+    def counted(m):
+        calls[0] += 1
+        return original(m)
+
+    for mod in (fibsurf.intlinalg, fibsurf.lattice_core, fibsurf.adapted):
+        if getattr(mod, "smith_normal_form", None) is original:
+            monkeypatch.setattr(mod, "smith_normal_form", counted)
+    return calls
+
+
+@pytest.mark.parametrize("g, d, seed", [(2, 5, 20260815), (3, 4, 20260816)])
+def test_smith_forms_per_lattice_problem(monkeypatch, g, d, seed):
+    """Construct + verify + change_basis on a criterion-4 problem factors
+    each lattice once: at most 9 Smith forms, where re-factoring on every
+    solve takes about 20."""
+    rng = Random(seed)
+    problem = randomized_problem(rng, g, d)
+    calls = _count_smith_forms(monkeypatch)
+    basis = construct_adapted_basis(problem)
+    assert is_adapted_basis(problem, basis)
+    change_basis(basis, random_sl2_word(rng), d)
+    assert 1 <= calls[0] <= 9, calls[0]
+
+
+def test_problem_factorisations_are_cached_not_compared():
+    rng = Random(20260817)
+    p = randomized_problem(rng, 2, 3)
+    q = randomized_problem(Random(20260817), 2, 3)
+    assert p.factored_U is p.factored_U
+    construct_adapted_basis(p)
+    assert p == q and hash(p) == hash(q)
+    assert "factored_U" in vars(p) and "factored_U" not in vars(q)
