@@ -116,10 +116,6 @@ class UnsupportedGenus(DomainError):
     """Fibre genus outside {2, 3}."""
 
 
-class InvalidOrder(DomainError):
-    """Ramification order must be a positive integer."""
-
-
 class InvalidArgument(DomainError):
     """Argument outside the stated precondition of an operation."""
 

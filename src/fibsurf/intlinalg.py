@@ -49,18 +49,6 @@ def xgcd(a: int, b: int) -> tuple[int, int, int]:
     return old_r, old_x, old_y
 
 
-def xgcd_list(values: Sequence[int]) -> tuple[int, list[int]]:
-    """gcd of a sequence with Bezout coefficients: sum(c*v) = g >= 0."""
-    g = 0
-    coeffs: list[int] = []
-    for v in values:
-        g_new, s, t = xgcd(g, v)
-        coeffs = [c * s for c in coeffs]
-        coeffs.append(t)
-        g = g_new
-    return g, coeffs
-
-
 class IntMatrix:
     """Immutable dense matrix of Python ints."""
 
@@ -253,10 +241,6 @@ def combo(vectors: Sequence[Sequence[int]], coeffs: Sequence[int]) -> tuple[int,
     if len(vectors) != len(coeffs):
         raise DimensionMismatch("coefficient count mismatch")
     return tuple(sum(map(mul, coeffs, entries)) for entries in zip(*vectors))
-
-
-def vec_sub(x: Sequence[int], y: Sequence[int]) -> tuple[int, ...]:
-    return tuple(a - b for a, b in zip(x, y))
 
 
 def pairing(gram: IntMatrix, x: Sequence[int], y: Sequence[int]) -> int:

@@ -26,7 +26,6 @@ from .errors import (
     IdentityViolation,
     InfeasibleCover,
     InvalidArgument,
-    InvalidOrder,
     LevelTooSmall,
     UnsupportedGenus,
 )
@@ -280,13 +279,6 @@ def fibre_types(g: int) -> FibreTypeCatalogue:
             semistable=True,
         )
     raise UnsupportedGenus(f"fibre genus must be 2 or 3, got {g}")
-
-
-def ramified_cusp_defect(e: int) -> int:
-    """Euler defect of the fibre over a cusp with ramification order e."""
-    if e < 1:
-        raise InvalidOrder(f"ramification order must be >= 1, got {e}")
-    return e
 
 
 def run_identity_checks(d_lo: int = 3, d_hi: int = 100) -> list[tuple[str, bool]]:

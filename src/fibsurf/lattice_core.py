@@ -82,12 +82,7 @@ def coprincipal_type(g: int, d: int) -> PolarizationType:
 
 def standard_symplectic_gram(g: int) -> IntMatrix:
     """J = [[0, I_g], [-I_g, 0]]."""
-    n = 2 * g
-    rows = [[0] * n for _ in range(n)]
-    for i in range(g):
-        rows[i][g + i] = 1
-        rows[g + i][i] = -1
-    return IntMatrix(rows)
+    return block_normal_gram(principal_type(g))
 
 
 def block_normal_gram(ptype: PolarizationType) -> IntMatrix:

@@ -34,26 +34,32 @@ The SL_2(Z) action z -> (az+b)/(cz+d') re-expresses U(z) inside U(Mz)
 through an integral change of basis L on u_1..u_{2g} exactly when M is
 congruent to the identity mod d; ``gamma_action`` returns that matrix and
 ``gamma_action_defect`` measures the analytic identity it encodes.
+
+ARITHMETIC.  Matrices are at most 3x3 tuples of rows of Python complex;
+the solve, the Cholesky pivot and the defects are written out below.
+Inputs must be finite; defects must be <= tol and the smallest Cholesky
+pivot of Im Z and of Im T must be > tol.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
 import os
 from dataclasses import dataclass, field
-
-import numpy as np
+from itertools import chain
 
 from .errors import (
     DimensionMismatch,
+    InvalidArgument,
     InvalidPeriodData,
     NotInGammaD,
     PostconditionFailed,
     RiemannRelationViolation,
     UnsupportedCombination,
 )
-from .intlinalg import IntMatrix
-from .lattice_core import SymplecticMatrix, conjugacy_invariants
+from .intlinalg import IntMatrix, gram_in_basis
+from .lattice_core import SymplecticMatrix, conjugacy_invariants, standard_symplectic_gram
 from .modular import IRREGULAR, REGULAR, gamma_d_contains
 
 DISTINGUISHED = "Distinguished"
@@ -65,27 +71,76 @@ ComplexMatrix = tuple[tuple[complex, ...], ...]
 def default_tolerance() -> float:
     """Absolute tolerance for floating checks: FIBSURF_TOL or 1e-9."""
     env = os.environ.get("FIBSURF_TOL", "")
-    return float(env) if env else 1.0e-9
+    try:
+        tol = float(env) if env else 1.0e-9
+    except ValueError:
+        tol = math.nan  # rejected below, like the other invalid values
+    if not 0.0 <= tol < math.inf:
+        raise InvalidPeriodData(f"FIBSURF_TOL must be a finite nonnegative number, got {env!r}")
+    return tol
 
 
-def _smallest_cholesky_pivot(a: np.ndarray) -> float:
+def _transpose(a) -> ComplexMatrix:
+    return tuple(zip(*a))
+
+
+def _max_abs_diff(a, b) -> float:
+    """Largest entrywise |a - b| of two equal-shape matrices; NaN if any
+    difference is NaN."""
+    worst = 0.0
+    for ra, rb in zip(a, b):
+        for x, y in zip(ra, rb):
+            e = abs(x - y)
+            if e > worst or e != e:
+                worst = e
+    return worst
+
+
+def _symmetric_imag(a) -> list[list[float]]:
+    """(Im a + Im a^t) / 2."""
+    return [[(x.imag + y.imag) / 2.0 for x, y in zip(row, col)] for row, col in zip(a, zip(*a))]
+
+
+def _smallest_cholesky_pivot(a) -> float:
     """Smallest pivot of a diagonally pivoted Cholesky factorization.
 
     The input is assumed (real) symmetric; the return value is positive
     iff the matrix is positive definite, and its magnitude measures the
-    margin.  Deterministic, O(n^3), fine for the tiny sizes used here.
+    margin.  The first pivot that is not positive (or NaN) ends the search.
     """
-    m = np.array(a, dtype=float)
+    m = [list(row) for row in a]
     smallest = math.inf
-    while m.size:
-        k = int(np.argmax(np.diag(m)))
-        piv = float(m[k, k])
+    while m:
+        k = max(range(len(m)), key=lambda i: m[i][i])
+        piv = m[k][k]
+        if not piv > 0.0:
+            return piv
         smallest = min(smallest, piv)
-        if piv <= 0.0:
-            break
-        m = m - np.outer(m[:, k], m[k, :]) / piv
-        m = np.delete(np.delete(m, k, axis=0), k, axis=1)
+        pivot_row = m[k]
+        m = [
+            [x - row[k] * y / piv for j, (x, y) in enumerate(zip(row, pivot_row)) if j != k]
+            for i, row in enumerate(m)
+            if i != k
+        ]
     return smallest
+
+
+def _solve(a, b) -> ComplexMatrix:
+    """X with a X = b for a square complex a (n <= 3) and an n x m b, by
+    Gauss-Jordan elimination with partial pivoting."""
+    n = len(a)
+    m = [[complex(v) for v in chain(ra, rb)] for ra, rb in zip(a, b)]
+    for k in range(n):
+        p = max(range(k, n), key=lambda i: abs(m[i][k]))
+        if not m[p][k]:
+            raise InvalidArgument("matrix is singular")
+        m[k], m[p] = m[p], m[k]
+        pivot_row = m[k]
+        for i in range(n):
+            if i != k and m[i][k]:
+                f = m[i][k] / pivot_row[k]
+                m[i] = [x - f * y for x, y in zip(m[i], pivot_row)]
+    return tuple(tuple(v / row[k] for v in row[n:]) for k, row in enumerate(m))
 
 
 @dataclass(frozen=True)
@@ -104,8 +159,8 @@ class PeriodData:
             raise InvalidPeriodData(f"genus must be 2 or 3, got {self.g}")
         if self.d < 2:
             raise InvalidPeriodData(f"degree must be >= 2, got {self.d}")
-        if not (self.tol >= 0):
-            raise InvalidPeriodData("tolerance must be nonnegative")
+        if not 0.0 <= self.tol < math.inf:
+            raise InvalidPeriodData("tolerance must be finite and nonnegative")
         h = self.g - 1
         try:
             rows = tuple(tuple(complex(v) for v in row) for row in self.Z)
@@ -114,19 +169,17 @@ class PeriodData:
             raise InvalidPeriodData(f"malformed period data: {exc}") from exc
         if len(rows) != h or any(len(row) != h for row in rows):
             raise InvalidPeriodData(f"Z must be {h}x{h}")
+        if not all(map(cmath.isfinite, chain((z_val,), *rows))):
+            raise InvalidPeriodData("Z and z must have finite entries")
         object.__setattr__(self, "Z", rows)
         object.__setattr__(self, "z", z_val)
-        zm = self.z_matrix()
-        asym = float(np.max(np.abs(zm - zm.T))) if h else 0.0
-        if asym > self.tol:
+        asym = _max_abs_diff(rows, _transpose(rows))
+        if not asym <= self.tol:
             raise InvalidPeriodData(f"Z is not symmetric (defect {asym:.3e})")
-        if _smallest_cholesky_pivot((zm.imag + zm.imag.T) / 2.0) <= -self.tol:
+        if not _smallest_cholesky_pivot(_symmetric_imag(rows)) > self.tol:
             raise InvalidPeriodData("Im(Z) is not positive definite")
         if not self.z.imag > 0:
             raise InvalidPeriodData("z must lie in the upper half plane")
-
-    def z_matrix(self) -> np.ndarray:
-        return np.array(self.Z, dtype=complex).reshape(self.g - 1, self.g - 1)
 
 
 @dataclass(frozen=True)
@@ -135,31 +188,26 @@ class LatticeSections:
 
     u: tuple[tuple[complex, ...], ...]
 
-    def vector(self, i: int) -> np.ndarray:
-        """u_i as an array, 1-based index."""
+    def vector(self, i: int):
+        """u_i as a numpy array, 1-based index."""
+        import numpy as np
+
         return np.array(self.u[i - 1], dtype=complex)
 
 
 def lattice_sections(p: PeriodData) -> LatticeSections:
     """Evaluate the 2g+2 sections at (Z, z); see the module docstring."""
-    g, d = p.g, p.d
-    zm = p.z_matrix()
+    g, d, z = p.g, p.d, p.z
     h = g - 1
-    delta = np.diag([1.0] * (h - 1) + [float(d)])
-    zero = np.zeros(1, dtype=complex)
-    secs: list[np.ndarray] = []
-    for r in range(h):
-        secs.append(np.concatenate([zm[r, :], zero]))  # u_1 .. u_{g-1}
-    secs.append(np.concatenate([np.zeros(h), [p.z]]))  # u_g
-    for r in range(h):
-        secs.append(np.concatenate([delta[r, :], zero]))  # u_{g+1} .. u_{2g-1}
-    secs.append(np.concatenate([np.zeros(h), [1.0]]))  # u_{2g}
-    u_last = np.zeros(g, dtype=complex)
-    u_last[h - 1] = 1.0
-    u_last[h] = p.z / d
-    secs.append(u_last)  # u_{2g+1}
-    secs.append(np.concatenate([zm[h - 1, :] / d, [1.0 / d]]))  # u_{2g+2}
-    return LatticeSections(u=tuple(tuple(complex(x) for x in v) for v in secs))
+    pad = (0j,) * (h - 1)
+    u = [row + (0j,) for row in p.Z]  # u_1 .. u_{g-1}
+    u.append(pad + (0j, z))  # u_g
+    u += [tuple(complex(j == r) for j in range(g)) for r in range(h - 1)]  # u_{g+1} .. u_{2g-2}
+    u.append(pad + (complex(d), 0j))  # u_{2g-1}
+    u.append(pad + (0j, 1 + 0j))  # u_{2g}
+    u.append(pad + (1 + 0j, z / d))  # u_{2g+1}
+    u.append(tuple(v / d for v in p.Z[h - 1]) + (complex(1.0 / d),))  # u_{2g+2}
+    return LatticeSections(u=tuple(u))
 
 
 @dataclass(frozen=True)
@@ -169,7 +217,10 @@ class PeriodMatrix:
     T: ComplexMatrix
     basis_labels: tuple[str, ...]
 
-    def array(self) -> np.ndarray:
+    def array(self):
+        """T as a numpy array."""
+        import numpy as np
+
         return np.array(self.T, dtype=complex)
 
 
@@ -177,48 +228,41 @@ def period_matrix(p: PeriodData) -> PeriodMatrix:
     """Express the alpha-periods in the beta-frame and verify the Riemann
     relations (symmetry and positivity of the imaginary part) within tol."""
     g, d = p.g, p.d
-    secs = lattice_sections(p)
-    alphas = [secs.vector(r) for r in range(1, g - 1)] + [
-        secs.vector(2 * g + 2),
-        secs.vector(2 * g + 1),
-    ]
-    betas = [secs.vector(g + r) for r in range(1, g + 1)]
-    a_mat = np.column_stack(alphas)
-    b_mat = np.column_stack(betas)
-    t = np.linalg.solve(b_mat, a_mat)
+    u = lattice_sections(p).u
+    alphas = (*u[: g - 2], u[2 * g + 1], u[2 * g])
+    betas = u[g : 2 * g]
+    t = _solve(_transpose(betas), _transpose(alphas))
 
-    asym = float(np.max(np.abs(t - t.T)))
-    if asym > p.tol:
+    asym = _max_abs_diff(t, _transpose(t))
+    if not asym <= p.tol:
         raise RiemannRelationViolation(f"T is not symmetric (defect {asym:.3e})")
-    if _smallest_cholesky_pivot((t.imag + t.imag.T) / 2.0) <= -p.tol:
+    if not _smallest_cholesky_pivot(_symmetric_imag(t)) > p.tol:
         raise RiemannRelationViolation("Im(T) is not positive definite")
     # structural constants of the construction in this normalization
-    corner = np.zeros(g, dtype=complex)
-    corner[g - 2] = 1.0 / d
-    corner_defect = float(np.max(np.abs(t[g - 1, : g - 1] - corner[: g - 1])))
+    corner = (0.0,) * (g - 2) + (1.0 / d,)
+    corner_defect = _max_abs_diff((t[g - 1][: g - 1],), (corner,))
     if not corner_defect <= p.tol:
         raise PostconditionFailed(
             f"corner of T differs from its structural value (defect {corner_defect:.3e})"
         )
-    labels = tuple(f"alpha_{r}" for r in range(1, g + 1)) + tuple(
-        f"beta_{r}" for r in range(1, g + 1)
-    )
-    return PeriodMatrix(
-        T=tuple(tuple(complex(v) for v in row) for row in t), basis_labels=labels
-    )
+    labels = tuple(f"{side}_{r}" for side in ("alpha", "beta") for r in range(1, g + 1))
+    return PeriodMatrix(T=t, basis_labels=labels)
 
 
-def siegel_action(m: IntMatrix, t: np.ndarray) -> np.ndarray:
+def siegel_action(m: IntMatrix, t) -> ComplexMatrix:
     """Action of a 2g x 2g block matrix [[A,B],[C,D]] on a g x g Riemann
-    matrix: T -> (A T + B)(C T + D)^{-1}."""
-    n = np.array(t, dtype=complex)
-    g = n.shape[0]
-    if m.rows != 2 * g or m.cols != 2 * g:
-        raise DimensionMismatch(f"expected a {2 * g}x{2 * g} matrix")
-    blocks = np.array(m.tolists(), dtype=complex)
-    a, b = blocks[:g, :g], blocks[:g, g:]
-    c, dd = blocks[g:, :g], blocks[g:, g:]
-    return (a @ n + b) @ np.linalg.inv(c @ n + dd)
+    matrix T (any nested sequence): T -> (A T + B)(C T + D)^{-1}, computed
+    as the solve (C T + D)^t X^t = (A T + B)^t and returned as tuples."""
+    n = [[complex(v) for v in row] for row in t]
+    g = len(n)
+    if m.rows != 2 * g or m.cols != 2 * g or any(len(row) != g for row in n):
+        raise DimensionMismatch(f"expected a {2 * g}x{2 * g} matrix and a {g}x{g} T")
+    e = m.entries()
+
+    def affine(rows):  # X T + Y for the blocks [X, Y] of these rows of m
+        return [[sum(r[k] * n[k][j] for k in range(g)) + r[g + j] for j in range(g)] for r in rows]
+
+    return _transpose(_solve(_transpose(affine(e[g:])), _transpose(affine(e[:g]))))
 
 
 def gamma_action(p: PeriodData, m: IntMatrix) -> tuple[PeriodData, IntMatrix]:
@@ -253,18 +297,16 @@ def gamma_action_defect(p: PeriodData, m: IntMatrix) -> float:
     the map fixing the first g-1 coordinates and dividing the last by
     (gamma*z + delta) carries u_i(z) to sum_j L[j,i] u_j(Mz)."""
     p_new, l_mat = gamma_action(p, m)
-    ga, de = m[1, 0], m[1, 1]
-    old = lattice_sections(p)
-    new = lattice_sections(p_new)
-    scale = ga * p.z + de
-    worst = 0.0
-    for i in range(1, 2 * p.g + 1):
-        v = old.vector(i)
-        phi = v.copy()
-        phi[-1] = v[-1] / scale
-        image = sum(l_mat[j - 1, i - 1] * new.vector(j) for j in range(1, 2 * p.g + 1))
-        worst = max(worst, float(np.max(np.abs(phi - image))))
-    return worst
+    scale = m[1, 0] * p.z + m[1, 1]
+    n = 2 * p.g
+    old = lattice_sections(p).u[:n]
+    new = lattice_sections(p_new).u[:n]
+    phis = [v[:-1] + (v[-1] / scale,) for v in old]
+    images = [
+        [sum(c * new[j][k] for j, c in enumerate(col) if c) for k in range(p.g)]
+        for col in l_mat.columns()
+    ]
+    return _max_abs_diff(phis, images)
 
 
 @dataclass(frozen=True)
@@ -321,10 +363,9 @@ def monodromy_translation_defect(p: PeriodData) -> float:
     """Max-norm defect of the translation identity: the symplectic action
     of the regular monodromy on T(z) must equal T(z + d)."""
     mono = monodromy_at_cusp(p.g, p.d, REGULAR)
-    t_here = period_matrix(p).array()
+    t_here = period_matrix(p).T
     shifted = PeriodData(g=p.g, d=p.d, Z=p.Z, z=p.z + p.d, tol=p.tol)
-    t_there = period_matrix(shifted).array()
-    return float(np.max(np.abs(siegel_action(mono.m.m, t_here) - t_there)))
+    return _max_abs_diff(siegel_action(mono.m.m, t_here), period_matrix(shifted).T)
 
 
 def _as_int_matrix(m) -> IntMatrix:
@@ -376,10 +417,4 @@ def section_pairing_gram(g: int, d: int) -> IntMatrix:
         else:  # u_{g+r} = beta_r, r = 1..g
             col[i - 1] = 1
         cols.append(col)
-    c_mat = IntMatrix(cols).transpose()
-    j_entries = [[0] * n for _ in range(n)]
-    for r in range(g):
-        j_entries[r][g + r] = 1
-        j_entries[g + r][r] = -1
-    j_mat = IntMatrix(j_entries)
-    return c_mat.transpose() * j_mat * c_mat
+    return gram_in_basis(standard_symplectic_gram(g), IntMatrix.from_columns(cols))

@@ -238,6 +238,37 @@ def test_period_rejects_bad_point(capsys):
     assert json.loads(err)["error"] == "InvalidPeriodData"
 
 
+@pytest.mark.parametrize(
+    "z_arg, z, extra",
+    [
+        ('[[["0", "0"]]]', "0,1", []),  # Im Z = 0 is only semidefinite
+        ('[[["nan", "1"]]]', "0,1", []),
+        ('[[[0, 1]]]', "nan,1", []),
+        ('[[[0, 1]]]', "0,inf", []),
+        ('[[[0, 1]]]', "0,1", ["--tol", "inf"]),
+        ('[[[0, 1]]]', "0,1", ["--tol", "nan"]),
+    ],
+    ids=["semidefinite", "Z-nan", "z-nan", "z-inf", "tol-inf", "tol-nan"],
+)
+def test_period_rejects_invalid_data(capsys, z_arg, z, extra):
+    code, out, err = run_cli(
+        capsys, ["period", "--g", "2", "--d", "3", "--Z", z_arg, "--z", z, *extra]
+    )
+    assert code == 1 and out == ""
+    assert json.loads(err)["error"] == "InvalidPeriodData"
+
+
+@pytest.mark.parametrize("value", ["abc", "-1", "inf"])
+def test_period_rejects_bad_tolerance_env(capsys, monkeypatch, value):
+    monkeypatch.setenv("FIBSURF_TOL", value)
+    code, out, err = run_cli(
+        capsys, ["period", "--g", "2", "--d", "3", "--Z", "[[[0, 1]]]", "--z", "0,1"]
+    )
+    assert code == 1 and out == ""
+    payload = json.loads(err)
+    assert payload["error"] == "InvalidPeriodData" and "FIBSURF_TOL" in payload["message"]
+
+
 def test_period_usage_errors(capsys):
     code, _, err = run_cli(
         capsys, ["period", "--g", "2", "--d", "3", "--Z", "[[", "--z", "0,1"]

@@ -16,7 +16,6 @@ from fibsurf import (
     smith_normal_form,
     solve_integer,
     xgcd,
-    xgcd_list,
 )
 from helpers import random_unimodular
 
@@ -45,17 +44,6 @@ def test_xgcd_edge_cases():
     assert g == 7 and s * 0 + t * (-7) == 7
     g, s, t = xgcd(12, 18)
     assert g == 6
-
-
-def test_xgcd_list_bezout():
-    rng = Random(102)
-    for _ in range(200):
-        vals = [rng.randint(-60, 60) for _ in range(rng.randint(1, 6))]
-        g, coeffs = xgcd_list(vals)
-        assert g == sum(c * v for c, v in zip(coeffs, vals))
-        assert g >= 0
-        if any(vals):
-            assert all(v % g == 0 for v in vals)
 
 
 def test_matrix_arithmetic_round_trip():

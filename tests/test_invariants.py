@@ -14,7 +14,6 @@ from fibsurf import (
     DegenerateSlope,
     InfeasibleCover,
     InvalidArgument,
-    InvalidOrder,
     LevelTooSmall,
     UnsupportedGenus,
     arakelov_holds,
@@ -26,7 +25,6 @@ from fibsurf import (
     moduli_dimension,
     modular_data,
     pullback_K2,
-    ramified_cusp_defect,
     run_identity_checks,
     slope,
     unique_fibration_criterion,
@@ -229,12 +227,3 @@ def test_fibre_defect_accounting():
         inv = invariants_g3(d)
         total = inv.c2 - (2 - 2 * 3) * (2 - 2 * inv.base_genus)
         assert Fraction(total) == pair * 12 * delta(inv.d)
-
-
-def test_ramified_cusp_defect():
-    assert ramified_cusp_defect(1) == 1
-    assert ramified_cusp_defect(5) == 5
-    with pytest.raises(InvalidOrder):
-        ramified_cusp_defect(0)
-    with pytest.raises(InvalidOrder):
-        ramified_cusp_defect(-2)

@@ -1,6 +1,7 @@
 """Period-matrix family: sections, Riemann relations, the congruence-group
 action and the monodromy matrices at the cusp."""
 
+import math
 from random import Random
 
 import numpy as np
@@ -15,6 +16,7 @@ from fibsurf import (
     AlternatingForm,
     DimensionMismatch,
     IntMatrix,
+    InvalidArgument,
     InvalidPeriodData,
     NotInGammaD,
     PeriodData,
@@ -39,6 +41,7 @@ from fibsurf import (
     section_pairing_gram,
     siegel_action,
 )
+from fibsurf.periods import _smallest_cholesky_pivot
 from helpers import random_gamma_d_element, random_symplectic
 
 
@@ -73,6 +76,8 @@ def test_period_data_validation():
         PeriodData(g=3, d=3, Z=((1j, 0.5), (0.2, 1j)), z=1j)
     with pytest.raises(InvalidPeriodData):  # Im Z not positive definite
         PeriodData(g=3, d=3, Z=((1j, 0), (0, -1j)), z=1j)
+    with pytest.raises(InvalidPeriodData):  # Im Z only semidefinite
+        PeriodData(g=2, d=3, Z=((0j,),), z=1j)
     with pytest.raises(InvalidPeriodData):  # z on the real axis
         PeriodData(g=3, d=3, Z=((1j, 0), (0, 1j)), z=0.5)
     with pytest.raises(InvalidPeriodData):  # wrong shape
@@ -83,11 +88,38 @@ def test_period_data_validation():
         PeriodData(g=2, d=3, Z=((1j,),), z=1j, tol=-1.0)
 
 
+NAN, INF = float("nan"), float("inf")
+
+
+@pytest.mark.parametrize(
+    "fields",
+    [
+        {"Z": ((complex(NAN, 1),),)},
+        {"Z": ((complex(0, INF),),)},
+        {"z": complex(NAN, 1)},
+        {"z": complex(0, INF)},
+        {"tol": INF},
+        {"tol": NAN},
+    ],
+    ids=["Z-nan", "Z-inf", "z-nan", "z-inf", "tol-inf", "tol-nan"],
+)
+def test_period_data_rejects_non_finite(fields):
+    kwargs = {"g": 2, "d": 3, "Z": ((1j,),), "z": 1j, "tol": 1e-9, **fields}
+    with pytest.raises(InvalidPeriodData):
+        PeriodData(**kwargs)
+
+
 def test_default_tolerance_env(monkeypatch):
     monkeypatch.delenv("FIBSURF_TOL", raising=False)
     assert default_tolerance() == 1e-9
     monkeypatch.setenv("FIBSURF_TOL", "1e-6")
     assert default_tolerance() == 1e-6
+    monkeypatch.setenv("FIBSURF_TOL", "0")
+    assert default_tolerance() == 0.0
+    for bad in ("abc", "-1e-6", "inf", "nan", "-inf"):
+        monkeypatch.setenv("FIBSURF_TOL", bad)
+        with pytest.raises(InvalidPeriodData, match="FIBSURF_TOL"):
+            default_tolerance()
 
 
 # ------------------------------------------------------------------ sections
@@ -309,6 +341,48 @@ def test_monodromy_translation_identity():
 def test_siegel_action_dimension_check():
     with pytest.raises(DimensionMismatch):
         siegel_action(IntMatrix.identity(4), np.eye(3, dtype=complex))
+    with pytest.raises(DimensionMismatch):
+        siegel_action(IntMatrix.identity(4), [[1j, 0], [0]])
+
+
+def test_siegel_action_matches_numpy():
+    """(A T + B)(C T + D)^{-1} against numpy's inverse, for symplectic
+    matrices whose C T + D needs row pivoting; nested lists in, tuples out."""
+    rng = Random(507)
+    for g in (2, 3):
+        for d in (3, 5):
+            t = period_matrix(random_point(rng, g, d)).array()
+            for _ in range(10):
+                m = random_symplectic(rng, g)
+                got = siegel_action(m, t.tolist())
+                assert isinstance(got, tuple) and all(isinstance(r, tuple) for r in got)
+                blk = np.array(m.tolists(), dtype=complex)
+                a, b, c, dd = blk[:g, :g], blk[:g, g:], blk[g:, :g], blk[g:, g:]
+                want = (a @ t + b) @ np.linalg.inv(c @ t + dd)
+                assert np.max(np.abs(np.array(got) - want)) < 1e-12
+
+
+def test_siegel_action_singular_denominator():
+    """J sends T to -T^{-1}, which does not exist for T = 0."""
+    j = IntMatrix([[0, 0, 1, 0], [0, 0, 0, 1], [-1, 0, 0, 0], [0, -1, 0, 0]])
+    with pytest.raises(InvalidArgument, match="singular"):
+        siegel_action(j, [[0j, 0j], [0j, 0j]])
+
+
+def test_smallest_cholesky_pivot_sign_matches_eigenvalues():
+    """The pivot is positive exactly for positive definite matrices, and is
+    never larger than the smallest eigenvalue."""
+    rng = Random(508)
+    for n in (1, 2, 3):
+        for _ in range(200):
+            a = np.array([[rng.uniform(-1, 1) for _ in range(n)] for _ in range(n)])
+            s = a @ a.T - rng.uniform(0, 0.5) * np.eye(n)
+            piv = _smallest_cholesky_pivot(s.tolist())
+            low = np.linalg.eigvalsh(s).min()
+            assert (piv > 0) == (low > 0)
+            if piv > 0:
+                assert piv >= low - 1e-12
+    assert math.isnan(_smallest_cholesky_pivot([[1.0, 0.0], [0.0, NAN]]))
 
 
 # ------------------------------------------------------------ distinguishing
