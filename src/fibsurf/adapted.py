@@ -265,12 +265,19 @@ def _coprime_congruent_pair(alpha: int, beta: int, d: int) -> tuple[int, int]:
     return a, b + k * d
 
 
+def _ensure(condition: bool, what: str) -> None:
+    """Check an internal step; raised, not asserted, so it also runs under
+    ``python -O``."""
+    if not condition:
+        raise PostconditionFailed(what)
+
+
 def _divide_in_lattice(u: Factored, numerator: Vector, d: int) -> Vector:
     """The vector v in the column lattice of ``u.a`` with d*v = numerator."""
     coords = u.solve(_column_matrix([numerator]))
-    assert coords is not None, "numerator does not lie in the lattice"
+    _ensure(coords is not None, "numerator does not lie in the lattice")
     col = coords.column(0)
-    assert all(c % d == 0 for c in col), "numerator is not divisible"
+    _ensure(all(c % d == 0 for c in col), "numerator is not divisible by d")
     return mat_vec(u.a, tuple(c // d for c in col))
 
 
@@ -286,7 +293,7 @@ def construct_adapted_basis(p: AdaptedBasisProblem) -> AdaptedBasis:
 
     # quotient U / (U_A + U_E) via the Smith form of the inclusion
     coords = p.factored_U.solve(w_mat)
-    assert coords is not None  # containment was validated
+    _ensure(coords is not None, "U_A + U_E does not lie in U")  # validated before
     snf = smith_normal_form(coords)
     expected = (1,) * (2 * g - 2) + (d, d)
     if snf.diagonal() != expected:
@@ -333,14 +340,14 @@ def construct_adapted_basis(p: AdaptedBasisProblem) -> AdaptedBasis:
         cx, cy = cv[2 * g - 2], cv[2 * g - 1]
         qx, rx = divmod(cx - target_coords[0], d)
         qy, ry = divmod(cy - target_coords[1], d)
-        assert rx == 0 and ry == 0, "generator change failed mod d"
+        _ensure(rx == 0 and ry == 0, "generator change failed mod d")
         return combo([v, x, y], [1, -qx, -qy])
 
     v1 = settle(v1, x, (1, 0))
     v2 = settle(v2, y, (0, 1))
     a1, b1, _ = split(v1)
     a2, b2, _ = split(v2)
-    assert b1 == x and b2 == y
+    _ensure(b1 == x and b2 == y, "U_E-components are not (x, y)")
 
     # --- step 4: normalize the U_A-side pairing to (a2, a1) = d ------------
     # (a1, a2) = -d + j*d^2 by integrality of (v1, v2).  Translating v1 by
@@ -350,7 +357,7 @@ def construct_adapted_basis(p: AdaptedBasisProblem) -> AdaptedBasis:
     # lifts from SL2(Z/d) to SL2(Z).
     pa = pairing(gram, a1, a2)
     j, rem = divmod(pa + d, d * d)
-    assert rem == 0, "cross pairing inconsistent with an integral lattice"
+    _ensure(rem == 0, "cross pairing inconsistent with an integral lattice")
     if j and g >= 3:
         e1, f1 = cols_a[0], cols_a[g - 1]  # (e1, f1) = 1
         k = 1 - pairing(gram, v1, f1)
@@ -359,11 +366,11 @@ def construct_adapted_basis(p: AdaptedBasisProblem) -> AdaptedBasis:
         v2 = combo([v2, f1], [1, t])
         a1, b1, _ = split(v1)
         a2, b2, _ = split(v2)
-        assert b1 == x and b2 == y
+        _ensure(b1 == x and b2 == y, "U_E-components moved during normalization")
         pa = pairing(gram, a1, a2)
     elif j:  # g == 2: U_A = <e, f> with (e, f) = d
         coords_a = solve_integer(_column_matrix(cols_a), _column_matrix([a1, a2]))
-        assert coords_a is not None
+        _ensure(coords_a is not None, "U_A-components do not lie in U_A")
         (al1, al2), (be1, be2) = coords_a.entries()
         # (a1, a2) = -d + j*d^2 forces al_i, be_i to frame SL2(Z/d); lift
         # the frame to an exact determinant-1 pair of rows
@@ -372,14 +379,17 @@ def construct_adapted_basis(p: AdaptedBasisProblem) -> AdaptedBasis:
         r0, s0 = -mu, lam  # pq[0]*s0 - pq[1]*r0 = 1
         k = (lam * (al1 - r0) + mu * (be1 - s0)) % d
         rs = (r0 + k * pq[0], s0 + k * pq[1])
-        assert (rs[0] - al1) % d == 0 and (rs[1] - be1) % d == 0
+        _ensure(
+            (rs[0] - al1) % d == 0 and (rs[1] - be1) % d == 0,
+            "lifted frame is not congruent mod d",
+        )
         a2 = combo(cols_a, list(pq))
         a1 = combo(cols_a, list(rs))
         v1 = _divide_in_lattice(p.factored_U, combo([a1, x], [1, 1]), d)
         v2 = _divide_in_lattice(p.factored_U, combo([y, a2], [1, 1]), d)
         b1, b2 = x, y
         pa = pairing(gram, a1, a2)
-    assert pa == -d, "normalization failed to reach (a1, a2) = -d"
+    _ensure(pa == -d, "normalization failed to reach (a1, a2) = -d")
 
     # --- step 5: orthogonal complement of (a1, a2) inside U_A ---------------
     if g == 2:
@@ -393,12 +403,12 @@ def construct_adapted_basis(p: AdaptedBasisProblem) -> AdaptedBasis:
             ct1 = pairing(gram, t, v1)
             projected.append(combo([t, a1, a2], [1, ct2, -ct1]))
         k_cols = column_lattice_basis(_column_matrix(projected))
-        assert len(k_cols) == 2 * g - 4, "complement has unexpected rank"
+        _ensure(len(k_cols) == 2 * g - 4, "complement has unexpected rank")
         k_mat = _column_matrix(k_cols)
         basis_k, ptype_k = frobenius_basis(
             AlternatingForm(gram_in_basis(gram, k_mat))
         )
-        assert ptype_k == principal_type(g - 2), "complement is not principal"
+        _ensure(ptype_k == principal_type(g - 2), "complement is not principal")
         k_ambient = [mat_vec(k_mat, c) for c in basis_k.columns()]
         k_e, k_f = k_ambient[: g - 2], k_ambient[g - 2 :]
 
@@ -466,7 +476,7 @@ def change_basis(
         combo([new_u_2g, b.u(g - 1)], [1, 1]),
     ])
     coords = solve_integer(old_basis, numerators)
-    assert coords is not None  # both numerators manifestly lie in U
+    _ensure(coords is not None, "numerators do not lie in U")  # they manifestly do
     if any(c % d for row in coords.entries() for c in row):
         return NOT_ADAPTED
     new_u_2g1, new_u_2g2 = (

@@ -141,6 +141,19 @@ def _parse_range(text: str) -> tuple[int, int]:
     return lo, hi
 
 
+def _int_field(data: dict, key: str) -> int:
+    """An integer field of a problem file: a JSON integer or a decimal string."""
+    value = data[key]
+    if isinstance(value, int) and not isinstance(value, bool):
+        return value
+    if isinstance(value, str):
+        try:
+            return int(value, 10)
+        except ValueError:
+            pass
+    raise UsageError(f"problem field {key!r} must be an integer, got {value!r}")
+
+
 def _invariant_row(inv) -> tuple:
     return (
         inv.g,
@@ -218,8 +231,8 @@ def _cmd_adapted_basis(args) -> tuple[str, int]:
     if missing or gram is None:
         raise UsageError(f"problem file lacks fields: {missing + ['gram'] if gram is None else missing}")
     problem = AdaptedBasisProblem(
-        g=int(data["g"]),
-        d=int(data["d"]),
+        g=_int_field(data, "g"),
+        d=_int_field(data, "d"),
         U=parse_int_matrix(data["U"]),
         form=AlternatingForm(parse_int_matrix(gram)),
         U_A=parse_int_matrix(data["U_A"]),

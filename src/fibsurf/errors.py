@@ -53,6 +53,11 @@ class LevelTooSmall(DomainError):
     """Level d below the smallest value the formula is stated for."""
 
 
+class LevelTooLarge(DomainError):
+    """Level d at or above psi_13, where factoring it is no longer proven
+    exact (see ``fibsurf.modular``)."""
+
+
 class NonIntegralResult(DomainError):
     """A quantity that must be an exact integer failed to be one."""
 

@@ -435,7 +435,8 @@ def invert_unimodular(m: IntMatrix) -> IntMatrix:
     if d not in (1, -1):
         raise NotUnimodular(f"determinant is {d}, not a unit")
     x = solve_integer(m, IntMatrix.identity(m.rows))
-    assert x is not None
+    if x is None:
+        raise PostconditionFailed("a unimodular matrix has no integral inverse")
     return x
 
 

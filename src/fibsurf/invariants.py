@@ -101,9 +101,8 @@ def invariants_g2(d: int) -> SurfaceInvariants:
     if d < 3:
         raise LevelTooSmall(f"invariants need d >= 3, got {d}")
     dd = Fraction(d)
-    dl = delta(d)
     data = modular_data(d)
-    gx, t = data.genus, data.cusps
+    dl, gx, t = data.delta, data.genus, data.cusps
 
     s = _exact_int((5 * dd - 6) * dl, "s")
     c2 = _exact_int((9 * dd - 18) * dl, "c2")
@@ -140,8 +139,8 @@ def invariants_g3(d: int) -> SurfaceInvariants:
     if d < 3:
         raise LevelTooSmall(f"invariants need d >= 3, got {d}")
     dd = Fraction(d)
-    dl = delta(d)
-    gx = modular_data(d).genus
+    data = modular_data(d)
+    dl, gx = data.delta, data.genus
 
     gb = _exact_int((20 * dd - 36) * dl + 1, "base genus")
     c2 = _exact_int((160 * dd - 264) * dl, "c2")
@@ -315,8 +314,8 @@ def run_identity_checks(d_lo: int = 3, d_hi: int = 100) -> list[tuple[str, bool]
         except IdentityViolation:
             ok["tables_construct"] = False
             continue
-        t = modular_data(d).cusps
-        dl = delta(d)
+        dl = i2.delta
+        t = 12 * dl
         ok["noether_g2"] &= i2.K2 + i2.c2 == 12 * i2.chi
         ok["noether_g3"] &= i3.K2 + i3.c2 == 12 * i3.chi
         ok["tau_formula"] &= 3 * i3.tau == i3.K2 - 2 * i3.c2

@@ -3,7 +3,7 @@
 Three ingredients live here:
 
 * the exact rational Delta_d = (d^2/24) * prod_{p | d} (1 - 1/p^2) and the
-  derived genus/cusp counts of X(d);
+  derived genus/cusp counts of X(d), for 2 <= d < psi_13 (see FACTORING);
 * membership in Gamma(d) = {M in SL_2(Z) : M = I mod d};
 * the four index-2 complements of {+-1} inside Gamma(2), classified by their
   sets S of irregular cusps (S a subset of {0, 1, inf} of size 1 or 3).
@@ -27,15 +27,29 @@ by Euclidean reduction of the first column (the parity pattern of Gamma(2) -
 odd diagonal, even off-diagonal - makes the reduction strict), then compare
 sigma with eps_a^(e_A) * eps_b^(e_B), where e_A, e_B are the exponent sums
 of the word (well defined modulo 2).
+
+FACTORING.  Delta_d needs the primes dividing d.  They are found by trial
+division by the primes below 100, then, for the cofactor, Miller-Rabin to
+the 13 prime bases 2..41 and Brent's variant of Pollard rho (R. P. Brent,
+BIT 20, 1980).  Miller-Rabin to these bases proves primality below
+psi_13 = 3 317 044 064 679 887 385 961 981, the least strong pseudoprime to
+all of them (Sorenson and Webster, Math. Comp. 86, 2017), so every answer
+is exact; levels d >= psi_13 raise LevelTooLarge.  Rho needs about
+p^(1/2) steps for the smallest prime p of the cofactor, so the running
+time is bounded over the whole domain: well under a millisecond for most
+levels, and about 2 s at worst (the square of a prime near 1.8e12).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import count
+from math import gcd
 
 from .errors import (
     InvalidCuspSet,
+    LevelTooLarge,
     LevelTooSmall,
     NonIntegralResult,
     UnsupportedCusp,
@@ -69,24 +83,98 @@ class CuspRegularityCase:
     stabilizer_generator: IntMatrix
 
 
+#: The least strong pseudoprime to every base in _MR_BASES; Miller-Rabin to
+#: those bases is a proof of primality below it.
+PSI_13 = 3317044064679887385961981
+
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_SMALL_PRIMES = _MR_BASES + (43, 47, 53, 59, 61, 67, 71, 73, 79, 83, 89, 97)
+#: A number with no prime factor in _SMALL_PRIMES is prime below 101^2.
+_SURELY_PRIME_BELOW = 101 * 101
+#: Steps of the rho iteration per gcd.
+_RHO_BATCH = 128
+
+
+def _is_prime(n: int) -> bool:
+    """Miller-Rabin to the bases _MR_BASES, for n < PSI_13 with no prime
+    factor in _SMALL_PRIMES; a proof of primality in that range."""
+    s = ((n - 1) & (1 - n)).bit_length() - 1  # n - 1 = 2^s * e, e odd
+    e = (n - 1) >> s
+    for a in _MR_BASES:
+        x = pow(a, e, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+def _rho_divisor(n: int) -> int:
+    """A proper divisor of the odd composite n: Brent's variant of Pollard
+    rho on x -> x^2 + c, multiplying _RHO_BATCH differences per gcd and
+    stepping back one at a time when a batch overshoots to n."""
+    for c in count(1):
+        y, r, q, g = 2, 1, 1, 1
+        while g == 1:
+            x = y
+            for _ in range(r):
+                y = (y * y + c) % n
+            k = 0
+            while k < r and g == 1:
+                ys = y
+                for _ in range(min(_RHO_BATCH, r - k)):
+                    y = (y * y + c) % n
+                    q = q * (x - y) % n
+                g = gcd(q, n)
+                k += _RHO_BATCH
+            r *= 2
+        if g == n:
+            g = 1
+            while g == 1:
+                ys = (ys * ys + c) % n
+                g = gcd(x - ys, n)
+        if g != n:  # otherwise both cycles closed together: next c
+            return g
+
+
 def _prime_factors(n: int) -> list[int]:
+    """The distinct primes dividing n, for 1 <= n < PSI_13, in increasing
+    order (see FACTORING in the module docstring)."""
     out = []
-    p = 2
-    while p * p <= n:
+    for p in _SMALL_PRIMES:
+        if p * p > n:
+            break
         if n % p == 0:
             out.append(p)
+            n //= p
             while n % p == 0:
                 n //= p
-        p += 1
-    if n > 1:
-        out.append(n)
-    return out
+    # n is now 1, a prime below 97^2, or has every prime factor above 97
+    large = []
+    pending = [n] if n > 1 else []
+    while pending:
+        m = pending.pop()
+        if m < _SURELY_PRIME_BELOW or _is_prime(m):
+            large.append(m)
+        else:
+            f = _rho_divisor(m)
+            pending += (f, m // f)
+    return out + sorted(set(large))
 
 
 def delta(d: int) -> Fraction:
-    """Delta_d = (d^2 / 24) * prod over primes p | d of (1 - 1/p^2)."""
+    """Delta_d = (d^2 / 24) * prod over primes p | d of (1 - 1/p^2), for
+    2 <= d < PSI_13."""
     if d < 2:
         raise LevelTooSmall(f"delta is defined for d >= 2, got {d}")
+    if d >= PSI_13:
+        raise LevelTooLarge(
+            f"levels are factored exactly only below psi_13 = {PSI_13}, got {d}"
+        )
     value = Fraction(d * d, 24)
     for p in _prime_factors(d):
         value *= Fraction(p * p - 1, p * p)
@@ -94,7 +182,8 @@ def delta(d: int) -> Fraction:
 
 
 def modular_data(d: int) -> ModularCurveData:
-    """Genus and cusp count of X(d): g = (d-6)*Delta_d + 1, t = 12*Delta_d."""
+    """Genus and cusp count of X(d): g = (d-6)*Delta_d + 1, t = 12*Delta_d,
+    for 3 <= d < PSI_13."""
     if d < 3:
         raise LevelTooSmall(f"modular data requires d >= 3, got {d}")
     dl = delta(d)

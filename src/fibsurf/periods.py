@@ -38,7 +38,9 @@ congruent to the identity mod d; ``gamma_action`` returns that matrix and
 ARITHMETIC.  Matrices are at most 3x3 tuples of rows of Python complex;
 the solve, the Cholesky pivot and the defects are written out below.
 Inputs must be finite; defects must be <= tol and the smallest Cholesky
-pivot of Im Z and of Im T must be > tol.
+pivot of Im Z must be > tol.  Im T has diagonal entries from Im(Z)/d^2 up
+to Im(z)/d, so it is first scaled to unit diagonal, and the smallest pivot
+of the scaled matrix must be > tol.
 """
 
 from __future__ import annotations
@@ -108,14 +110,16 @@ def _smallest_cholesky_pivot(a) -> float:
     iff the matrix is positive definite, and its magnitude measures the
     margin.  The first pivot that is not positive (or NaN) ends the search.
     """
-    m = [list(row) for row in a]
+    m = a  # each step builds a new Schur complement; a is not modified
     smallest = math.inf
     while m:
-        k = max(range(len(m)), key=lambda i: m[i][i])
-        piv = m[k][k]
+        diag = [row[i] for i, row in enumerate(m)]
+        piv = max(diag)
         if not piv > 0.0:
             return piv
-        smallest = min(smallest, piv)
+        k = diag.index(piv)
+        if piv < smallest:
+            smallest = piv
         pivot_row = m[k]
         m = [
             [x - row[k] * y / piv for j, (x, y) in enumerate(zip(row, pivot_row)) if j != k]
@@ -123,6 +127,23 @@ def _smallest_cholesky_pivot(a) -> float:
             if i != k
         ]
     return smallest
+
+
+def _unit_diagonal_cholesky_pivot(a) -> float:
+    """``_smallest_cholesky_pivot`` of D^-1/2 a D^-1/2 with D = diag(a), so
+    the margin does not change when coordinates are rescaled.  A diagonal
+    entry that is not positive (or NaN) is returned as it is."""
+    diag = [row[i] for i, row in enumerate(a)]
+    for v in diag:
+        if not v > 0.0:
+            return v
+    r = [1.0 / math.sqrt(v) for v in diag]
+    return _smallest_cholesky_pivot(
+        [
+            [1.0 if i == j else x * ri * rj for j, (x, rj) in enumerate(zip(row, r))]
+            for i, (row, ri) in enumerate(zip(a, r))
+        ]
+    )
 
 
 def _solve(a, b) -> ComplexMatrix:
@@ -236,7 +257,7 @@ def period_matrix(p: PeriodData) -> PeriodMatrix:
     asym = _max_abs_diff(t, _transpose(t))
     if not asym <= p.tol:
         raise RiemannRelationViolation(f"T is not symmetric (defect {asym:.3e})")
-    if not _smallest_cholesky_pivot(_symmetric_imag(t)) > p.tol:
+    if not _unit_diagonal_cholesky_pivot(_symmetric_imag(t)) > p.tol:
         raise RiemannRelationViolation("Im(T) is not positive definite")
     # structural constants of the construction in this normalization
     corner = (0.0,) * (g - 2) + (1.0 / d,)

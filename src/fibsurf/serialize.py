@@ -131,8 +131,13 @@ def parse_int_matrix(data) -> IntMatrix:
     if isinstance(data, dict):
         want = (data.get("rows"), data.get("cols"))
         have = (len(rows), len(rows[0]))
-        if all(w is not None for w in want) and tuple(int(w) for w in want) != have:
-            raise UsageError(f"matrix shape {have} does not match header {want}")
+        if all(w is not None for w in want):
+            try:
+                shape = tuple(int(w) for w in want)
+            except (TypeError, ValueError) as exc:
+                raise UsageError(f"malformed matrix shape {want}: {exc}") from exc
+            if shape != have:
+                raise UsageError(f"matrix shape {have} does not match header {want}")
     return IntMatrix(rows)
 
 

@@ -186,7 +186,42 @@ def test_adapted_basis_domain_error(tmp_path, capsys):
     assert json.loads(err)["error"] in ("InvariantViolation", "QuotientNotBicyclic")
 
 
+@pytest.mark.parametrize(
+    "field, value",
+    [("g", "x"), ("d", "3.5"), ("d", 3.0), ("g", None), ("d", True), ("g", [2])],
+)
+def test_adapted_basis_rejects_non_integer_fields(tmp_path, capsys, field, value):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(dict(PROBLEM_G2_D3, **{field: value})))
+    code, out, err = run_cli(capsys, ["adapted-basis", "--input", str(path)])
+    assert code == 2 and out == ""
+    assert err.startswith("usage error:") and repr(field) in err
+
+
+def test_adapted_basis_accepts_decimal_string_fields(tmp_path, capsys):
+    path = tmp_path / "problem.json"
+    path.write_text(json.dumps(dict(PROBLEM_G2_D3, g="2", d="3")))
+    code, out, _ = run_cli(capsys, ["adapted-basis", "--input", str(path)])
+    assert code == 0 and json.loads(out)["adapted"] is True
+
+
 # ------------------------------------------------------------------- period
+
+
+@pytest.mark.parametrize(
+    "g, z_arg",
+    [("2", "[[[0,1]]]"), ("3", "[[[0,1],[0,0]],[[0,0],[0,1]]]")],
+)
+def test_period_large_degree(capsys, g, z_arg):
+    """Im T has entries Im(Z)/d^2 and Im(z)/d; at d = 100000 the first is
+    1e-10, below the default tolerance, yet T is a valid Riemann matrix."""
+    code, out, err = run_cli(
+        capsys, ["period", "--g", g, "--d", "100000", "--Z", z_arg, "--z", "0,1"]
+    )
+    assert code == 0 and err == ""
+    entries = json.loads(out)["T"]["entries"]
+    assert entries[-2][-2] == ["0.0", "1e-10"]
+    assert entries[-1][-1] == ["0.0", "1e-05"]
 
 
 def test_period_end_to_end(capsys):
@@ -350,6 +385,14 @@ def test_polarization_rejects_symmetric_matrix(capsys):
     code, _, err = run_cli(capsys, ["polarization", "--gram", gram])
     assert code == 1
     assert json.loads(err)["error"] == "NotAlternating"
+
+
+@pytest.mark.parametrize("shape", ['"x"', "[2]"])
+def test_polarization_rejects_malformed_shape(capsys, shape):
+    gram = '{"rows": %s, "cols": 2, "entries": [[0, 1], [-1, 0]]}' % shape
+    code, out, err = run_cli(capsys, ["polarization", "--gram", gram])
+    assert code == 2 and out == ""
+    assert err.startswith("usage error:")
 
 
 # -------------------------------------------------------------- distinguish

@@ -1,9 +1,12 @@
 """Symplectic normal form, polarization types, Sp(2g, Z) membership and
 conjugacy invariants."""
 
+import math
 from random import Random
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from fibsurf import (
     AlternatingForm,
@@ -98,6 +101,57 @@ def test_type_recovery_under_gl_conjugation():
             for v in divisors:
                 prod *= v
             assert gram.det() == prod * prod
+
+
+@st.composite
+def alternating_forms(draw):
+    """A nondegenerate alternating form on Z^(2g), g in 1..3, with entries
+    in -6..6 above the diagonal."""
+    n = 2 * draw(st.integers(1, 3))
+    upper = draw(st.lists(st.integers(-6, 6), min_size=n * (n - 1) // 2, max_size=n * (n - 1) // 2))
+    rows = [[0] * n for _ in range(n)]
+    it = iter(upper)
+    for i in range(n):
+        for j in range(i + 1, n):
+            rows[i][j] = next(it)
+            rows[j][i] = -rows[i][j]
+    gram = IntMatrix(rows)
+    assume(gram.det() != 0)
+    return gram
+
+
+@st.composite
+def unimodular_words(draw, n):
+    """A word of row shears (coefficient +-1 or +-2), row swaps and sign
+    flips applied to the n x n identity; its determinant is +-1."""
+    m = [[int(i == j) for j in range(n)] for i in range(n)]
+    steps = st.tuples(
+        st.integers(0, n - 1), st.integers(0, n - 1), st.integers(0, 2), st.sampled_from((-2, -1, 1, 2))
+    )
+    for i, j, op, c in draw(st.lists(steps, max_size=16)):
+        if op == 0 and i != j:
+            m[i] = [x + c * y for x, y in zip(m[i], m[j])]
+        elif op == 1 and i != j:
+            m[i], m[j] = m[j], m[i]
+        else:
+            m[i] = [-x for x in m[i]]
+    return IntMatrix(m)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_frobenius_postcondition_and_type_invariance(data):
+    """frobenius_basis returns a unimodular P with P^T G P in block normal
+    form, and the type it finds does not change under G -> Q^T G Q for a
+    random Q in GL(2g, Z)."""
+    gram = data.draw(alternating_forms())
+    basis, ptype = frobenius_basis(AlternatingForm(gram))
+    assert basis.det() in (1, -1)
+    assert gram_in_basis(gram, basis) == block_normal_gram(ptype)
+    assert gram.det() == math.prod(ptype.divisors) ** 2
+
+    q = data.draw(unimodular_words(gram.rows))
+    assert polarization_type(AlternatingForm(gram_in_basis(gram, q))) == ptype
 
 
 def test_polarization_type_errors():

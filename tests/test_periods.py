@@ -21,6 +21,7 @@ from fibsurf import (
     NotInGammaD,
     PeriodData,
     PolarizationType,
+    RiemannRelationViolation,
     UnsupportedCombination,
     block_normal_gram,
     canonical_problem,
@@ -41,7 +42,8 @@ from fibsurf import (
     section_pairing_gram,
     siegel_action,
 )
-from fibsurf.periods import _smallest_cholesky_pivot
+import fibsurf.periods
+from fibsurf.periods import _smallest_cholesky_pivot, _unit_diagonal_cholesky_pivot
 from helpers import random_gamma_d_element, random_symplectic
 
 
@@ -182,6 +184,28 @@ def test_period_matrix_riemann_relations():
                 assert np.max(np.abs(t - t.T)) <= p.tol
                 eigs = np.linalg.eigvalsh((t.imag + t.imag.T) / 2)
                 assert eigs.min() > 0
+
+
+def test_period_matrix_large_degree():
+    """Im T spans Im(Z)/d^2 .. Im(z)/d; positivity is judged after scaling
+    to unit diagonal, so large degrees pass at the default tolerance."""
+    rng = Random(509)
+    for g in (2, 3):
+        for d in (10**5, 10**8):
+            points = [reference_point(g, d)] + [random_point(rng, g, d) for _ in range(3)]
+            for p in points:
+                t = period_matrix(p).array()
+                assert abs(t[g - 1, g - 2] - 1.0 / d) <= p.tol
+                eigs = np.linalg.eigvalsh((t.imag + t.imag.T) / 2)
+                assert eigs.min() > 0
+
+
+def test_period_matrix_refuses_semidefinite_im_t(monkeypatch):
+    """A symmetric T whose imaginary part is singular is still refused."""
+    singular = ((0.5 + 1j, 1j), (1j, 0.25 + 1j))
+    monkeypatch.setattr(fibsurf.periods, "_solve", lambda a, b: singular)
+    with pytest.raises(RiemannRelationViolation, match="positive definite"):
+        period_matrix(reference_point(2, 3))
 
 
 def test_period_matrix_labels():
@@ -383,6 +407,26 @@ def test_smallest_cholesky_pivot_sign_matches_eigenvalues():
             if piv > 0:
                 assert piv >= low - 1e-12
     assert math.isnan(_smallest_cholesky_pivot([[1.0, 0.0], [0.0, NAN]]))
+
+
+def test_unit_diagonal_cholesky_pivot_ignores_coordinate_scale():
+    """Rescaling the coordinates by positive factors leaves the pivot as it
+    is; its sign still tells positive definite matrices apart."""
+    rng = Random(510)
+    for n in (1, 2, 3):
+        for _ in range(200):
+            a = np.array([[rng.uniform(-1, 1) for _ in range(n)] for _ in range(n)])
+            s = a @ a.T + rng.uniform(-0.2, 0.2) * np.eye(n)
+            piv = _unit_diagonal_cholesky_pivot(s.tolist())
+            assert (piv > 0) == (np.linalg.eigvalsh(s).min() > 0)
+            scale = np.diag([10.0 ** rng.uniform(-6, 6) for _ in range(n)])
+            scaled = _unit_diagonal_cholesky_pivot((scale @ s @ scale).tolist())
+            if piv > 0:
+                assert scaled == pytest.approx(piv, rel=1e-9)
+            else:
+                assert not scaled > 0
+    assert _unit_diagonal_cholesky_pivot([[1.0, 0.0], [0.0, -2.0]]) == -2.0
+    assert math.isnan(_unit_diagonal_cholesky_pivot([[NAN, 0.0], [0.0, 1.0]]))
 
 
 # ------------------------------------------------------------ distinguishing

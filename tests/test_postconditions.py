@@ -17,9 +17,11 @@ from fibsurf import (
     PeriodData,
     PostconditionFailed,
     canonical_problem,
+    change_basis,
     char_poly,
     construct_adapted_basis,
     frobenius_basis,
+    invert_unimodular,
     period_matrix,
     standard_symplectic_gram,
 )
@@ -36,6 +38,34 @@ def test_construction_postcondition(monkeypatch):
     monkeypatch.setattr(fibsurf.adapted, "is_adapted_basis", lambda p, b: False)
     with pytest.raises(PostconditionFailed, match="construction postcondition"):
         construct_adapted_basis(canonical_problem(2, 3))
+
+
+def test_change_basis_internal_check(monkeypatch):
+    """The numerators of the glue vectors lie in U by construction; a solve
+    that says otherwise is a failed check, not an ``assert``."""
+    basis = construct_adapted_basis(canonical_problem(2, 3))
+    monkeypatch.setattr(fibsurf.adapted, "solve_integer", lambda a, b: None)
+    with pytest.raises(PostconditionFailed, match="numerators do not lie in U"):
+        change_basis(basis, IntMatrix([[1, 3], [0, 1]]), 3)
+
+
+def test_construction_internal_check(monkeypatch):
+    """A wrong Frobenius type for the complement of (a1, a2) in U_A."""
+    original = fibsurf.adapted.frobenius_basis
+
+    def wrong_type(form):
+        basis, _ = original(form)
+        return basis, fibsurf.coprincipal_type(form.dim // 2, 2)
+
+    monkeypatch.setattr(fibsurf.adapted, "frobenius_basis", wrong_type)
+    with pytest.raises(PostconditionFailed, match="complement is not principal"):
+        construct_adapted_basis(canonical_problem(3, 2))
+
+
+def test_invert_unimodular_internal_check(monkeypatch):
+    monkeypatch.setattr(fibsurf.intlinalg, "solve_integer", lambda a, b: None)
+    with pytest.raises(PostconditionFailed, match="no integral inverse"):
+        invert_unimodular(IntMatrix([[2, 1], [1, 1]]))
 
 
 def test_frobenius_postcondition(monkeypatch):
