@@ -15,16 +15,18 @@ construction below mirrors the existence proof, made fully explicit:
 
 1.  symplectic normal forms of U_A and U_E (W = U_A + U_E, type
     (1,...,1,d,d) with elementary-divisor product d^2, matrix determinant
-    d^4);
+    d^4), written in the coordinates of U (the columns of the matrix U);
 2.  Smith normal form of the inclusion W -> U; the quotient must be
-    (Z/d)^2, generated by two vectors v_1, v_2;
+    (Z/d)^2, generated by two vectors v_1, v_2, and the same factorisation
+    splits every d*v below into its U_A and U_E parts;
 3.  re-choose v_1, v_2 so that the U_E-components of d*v_1, d*v_2 are
     exactly a symplectic pair (x, y) of U_E — possible precisely when the
     quotient projects isomorphically onto the discriminant group of U_E;
 4.  translate v_2 by an element of U_A to force (a', a) = d, where
     d*v_1 = a + x and d*v_2 = a' + y;
 5.  split off the rank-(2g-4) orthogonal complement of (a, a') inside U_A
-    by an integral projection and bring it to principal form.
+    by an integral projection, computed in the coordinates of U like steps
+    2-4; the complement's basis is taken in ambient coordinates.
 
 Basis changes: for M in SL_2(Z) acting on the pair (u_g, u_{2g}), the
 transformed tuple is again adapted iff M is congruent to the identity mod
@@ -55,7 +57,6 @@ from .intlinalg import (
     mat_vec,
     pairing,
     rank,
-    smith_normal_form,
     solve_integer,
     xgcd,
 )
@@ -64,7 +65,6 @@ from .lattice_core import (
     block_normal_gram,
     coprincipal_type,
     frobenius_basis,
-    polarization_type,
     principal_type,
     standard_symplectic_gram,
 )
@@ -75,6 +75,11 @@ Vector = tuple[int, ...]
 def _column_matrix(cols) -> IntMatrix:
     """Trusted matrix whose columns are the given int vectors."""
     return IntMatrix._of(tuple(zip(*cols)))
+
+
+def _side_by_side(a: IntMatrix, b: IntMatrix) -> IntMatrix:
+    """The columns of a followed by those of b (equal row counts)."""
+    return IntMatrix._of(tuple(ra + rb for ra, rb in zip(a.entries(), b.entries())))
 
 
 @dataclass(frozen=True)
@@ -199,9 +204,10 @@ def canonical_problem(g: int, d: int) -> AdaptedBasisProblem:
     )
 
 
-def _validate_problem(p: AdaptedBasisProblem) -> tuple[IntMatrix, IntMatrix]:
+def _validate_problem(p: AdaptedBasisProblem) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
     """Check every input invariant; return the symplectic normal-form bases
-    (in generator coordinates) of U_A and U_E computed along the way."""
+    of U_A and U_E in the coordinates of U, and the Gram matrix U^T G U of
+    the form in those coordinates."""
     g, d = p.g, p.d
     if g < 2:
         raise InvariantViolation("genus must be at least 2")
@@ -219,14 +225,17 @@ def _validate_problem(p: AdaptedBasisProblem) -> tuple[IntMatrix, IntMatrix]:
             raise InvariantViolation(f"{name} must have {cols} generator columns")
     if p.factored_U.rank() != 2 * g:
         raise InvariantViolation("U does not have full rank 2g")
-    if p.factored_U.solve(p.U_A) is None:
+    in_a = p.factored_U.solve(p.U_A)
+    if in_a is None:
         raise InvariantViolation("U_A is not contained in U")
-    if p.factored_U.solve(p.U_E) is None:
+    in_e = p.factored_U.solve(p.U_E)
+    if in_e is None:
         raise InvariantViolation("U_E is not contained in U")
-    joint = IntMatrix._of(tuple(ra + re for ra, re in zip(p.U_A.entries(), p.U_E.entries())))
-    if rank(joint) != 2 * g:
+    if rank(_side_by_side(p.U_A, p.U_E)) != 2 * g:
         raise InvariantViolation("U_A and U_E intersect nontrivially")
-    if polarization_type(AlternatingForm(gram_in_basis(p.form.gram, p.U))) != principal_type(g):
+    gram_u = gram_in_basis(p.form.gram, p.U)
+    # alternating, so det = Pf^2 = (d_1 * ... * d_g)^2: principal iff det = 1
+    if gram_u.det() != 1:
         raise InvariantViolation("form restricted to U is not principal")
     basis_a, type_a = frobenius_basis(AlternatingForm(gram_in_basis(p.form.gram, p.U_A)))
     if type_a != coprincipal_type(g - 1, d):
@@ -238,7 +247,7 @@ def _validate_problem(p: AdaptedBasisProblem) -> tuple[IntMatrix, IntMatrix]:
         raise InvariantViolation(f"form restricted to U_E is not of type ({d},)")
     if not (p.U_A.transpose() * p.form.gram * p.U_E).is_zero():
         raise InvariantViolation("U_A and U_E are not orthogonal")
-    return basis_a, basis_e
+    return in_a * basis_a, in_e * basis_e, gram_u
 
 
 def _coprime_congruent_pair(alpha: int, beta: int, d: int) -> tuple[int, int]:
@@ -272,38 +281,33 @@ def _ensure(condition: bool, what: str) -> None:
         raise PostconditionFailed(what)
 
 
-def _divide_in_lattice(u: Factored, numerator: Vector, d: int) -> Vector:
-    """The vector v in the column lattice of ``u.a`` with d*v = numerator."""
-    coords = u.solve(_column_matrix([numerator]))
-    _ensure(coords is not None, "numerator does not lie in the lattice")
-    col = coords.column(0)
-    _ensure(all(c % d == 0 for c in col), "numerator is not divisible by d")
-    return mat_vec(u.a, tuple(c // d for c in col))
+def _divided(v: Vector, d: int) -> Vector:
+    """v / d, which must be integral."""
+    _ensure(all(c % d == 0 for c in v), "numerator is not divisible by d")
+    return tuple(c // d for c in v)
 
 
 def construct_adapted_basis(p: AdaptedBasisProblem) -> AdaptedBasis:
-    """Produce an adapted basis for a valid problem (see module docstring)."""
+    """Produce an adapted basis for a valid problem (see module docstring).
+
+    Vectors stay in U-coordinates and map through U once at the end; pairings
+    use gram_u, since (Ua, Ub)_G = (a, b)_gram_u."""
     # symplectic normal forms of the two sublattices
-    basis_a, basis_e = _validate_problem(p)
-    g, d, gram = p.g, p.d, p.form.gram
-    cols_a = [mat_vec(p.U_A, c) for c in basis_a.columns()]  # e_1..e_{g-1}, f_1..f_{g-1}
-    x, y = (mat_vec(p.U_E, c) for c in basis_e.columns())  # (x, y) = d
+    basis_a, basis_e, gram_u = _validate_problem(p)
+    g, d = p.g, p.d
+    cols_a = basis_a.columns()  # e_1..e_{g-1}, f_1..f_{g-1}
+    x, y = basis_e.columns()  # (x, y) = d
 
-    w_mat = _column_matrix(cols_a + [x, y])
-
-    # quotient U / (U_A + U_E) via the Smith form of the inclusion
-    coords = p.factored_U.solve(w_mat)
-    _ensure(coords is not None, "U_A + U_E does not lie in U")  # validated before
-    snf = smith_normal_form(coords)
+    # quotient U / (U_A + U_E) via the Smith form of the inclusion; every
+    # split() below solves against the same factorisation
+    w = Factored(_side_by_side(basis_a, basis_e))
     expected = (1,) * (2 * g - 2) + (d, d)
-    if snf.diagonal() != expected:
+    if w.diag != expected:
         raise QuotientNotBicyclic(
-            f"U/(U_A + U_E) has invariant factors {snf.diagonal()}, "
-            f"expected {expected}"
+            f"U/(U_A + U_E) has invariant factors {w.diag}, expected {expected}"
         )
-    v1 = mat_vec(p.U, snf.s_inv.column(2 * g - 2))
-    v2 = mat_vec(p.U, snf.s_inv.column(2 * g - 1))
-    w = Factored(w_mat)  # every split() below solves against it
+    v1 = w.snf.s_inv.column(2 * g - 2)
+    v2 = w.snf.s_inv.column(2 * g - 1)
 
     def split(v: Vector) -> tuple[Vector, Vector, tuple[int, ...]]:
         """d*v = a + b with a in U_A, b in U_E; returns (a, b, coords)."""
@@ -316,26 +320,22 @@ def construct_adapted_basis(p: AdaptedBasisProblem) -> AdaptedBasis:
         return a, b, cv
 
     # --- step 3: force the U_E-components to be exactly (x, y) -------------
-    _, _, c1 = split(v1)
-    _, _, c2 = split(v2)
-    m_e = ((c1[2 * g - 2], c2[2 * g - 2]), (c1[2 * g - 1], c2[2 * g - 1]))
-    det_e = m_e[0][0] * m_e[1][1] - m_e[0][1] * m_e[1][0]
-    gcd_e, inv_det, _ = xgcd(det_e % d, d)
+    (p1, q1), (p2, q2) = (split(v)[2][2 * g - 2 :] for v in (v1, v2))
+    gcd_e, inv_det, _ = xgcd((p1 * q2 - p2 * q1) % d, d)
     if gcd_e != 1:
         raise InvariantViolation(
             "quotient of U by U_A + U_E does not project isomorphically "
             "onto the discriminant group of U_E"
         )
-    # inverse of m_e modulo d, columns give the new generator combinations
-    adj = ((m_e[1][1], -m_e[0][1]), (-m_e[1][0], m_e[0][0]))
-    sel = [[(inv_det * adj[i][j]) % d for j in range(2)] for i in range(2)]
+    # the columns of [[p1, p2], [q1, q2]]^-1 mod d give the new generators
     v1, v2 = (
-        combo([v1, v2], [sel[0][0], sel[1][0]]),
-        combo([v1, v2], [sel[0][1], sel[1][1]]),
+        combo([v1, v2], [inv_det * q2 % d, -inv_det * q1 % d]),
+        combo([v1, v2], [-inv_det * p2 % d, inv_det * p1 % d]),
     )
 
-    def settle(v: Vector, target: Vector, target_coords: tuple[int, int]) -> Vector:
-        """Translate v by an element of U_E so the E-part of d*v equals target."""
+    def settle(v: Vector, target_coords: tuple[int, int]) -> Vector:
+        """Translate v by an element of U_E so the E-part of d*v has the
+        coordinates target_coords in (x, y)."""
         _, _, cv = split(v)
         cx, cy = cv[2 * g - 2], cv[2 * g - 1]
         qx, rx = divmod(cx - target_coords[0], d)
@@ -343,10 +343,10 @@ def construct_adapted_basis(p: AdaptedBasisProblem) -> AdaptedBasis:
         _ensure(rx == 0 and ry == 0, "generator change failed mod d")
         return combo([v, x, y], [1, -qx, -qy])
 
-    v1 = settle(v1, x, (1, 0))
-    v2 = settle(v2, y, (0, 1))
-    a1, b1, _ = split(v1)
-    a2, b2, _ = split(v2)
+    v1 = settle(v1, (1, 0))
+    v2 = settle(v2, (0, 1))
+    a1, b1, c1 = split(v1)
+    a2, b2, c2 = split(v2)
     _ensure(b1 == x and b2 == y, "U_E-components are not (x, y)")
 
     # --- step 4: normalize the U_A-side pairing to (a2, a1) = d ------------
@@ -355,23 +355,21 @@ def construct_adapted_basis(p: AdaptedBasisProblem) -> AdaptedBasis:
     # and j = 0 is always reachable: for g >= 3 a hyperbolic pair of U_A
     # kills any j exactly, and for g = 2 the coordinate frame of (a2, a1)
     # lifts from SL2(Z/d) to SL2(Z).
-    pa = pairing(gram, a1, a2)
+    pa = pairing(gram_u, a1, a2)
     j, rem = divmod(pa + d, d * d)
     _ensure(rem == 0, "cross pairing inconsistent with an integral lattice")
     if j and g >= 3:
         e1, f1 = cols_a[0], cols_a[g - 1]  # (e1, f1) = 1
-        k = 1 - pairing(gram, v1, f1)
-        t = -j - k * pairing(gram, e1, v2)
+        k = 1 - pairing(gram_u, v1, f1)
+        t = -j - k * pairing(gram_u, e1, v2)
         v1 = combo([v1, e1], [1, k])
         v2 = combo([v2, f1], [1, t])
         a1, b1, _ = split(v1)
         a2, b2, _ = split(v2)
         _ensure(b1 == x and b2 == y, "U_E-components moved during normalization")
-        pa = pairing(gram, a1, a2)
+        pa = pairing(gram_u, a1, a2)
     elif j:  # g == 2: U_A = <e, f> with (e, f) = d
-        coords_a = solve_integer(_column_matrix(cols_a), _column_matrix([a1, a2]))
-        _ensure(coords_a is not None, "U_A-components do not lie in U_A")
-        (al1, al2), (be1, be2) = coords_a.entries()
+        (al1, be1), (al2, be2) = c1[:2], c2[:2]  # a_i = al_i * e + be_i * f
         # (a1, a2) = -d + j*d^2 forces al_i, be_i to frame SL2(Z/d); lift
         # the frame to an exact determinant-1 pair of rows
         pq = _coprime_congruent_pair(al2, be2, d)
@@ -385,13 +383,12 @@ def construct_adapted_basis(p: AdaptedBasisProblem) -> AdaptedBasis:
         )
         a2 = combo(cols_a, list(pq))
         a1 = combo(cols_a, list(rs))
-        v1 = _divide_in_lattice(p.factored_U, combo([a1, x], [1, 1]), d)
-        v2 = _divide_in_lattice(p.factored_U, combo([y, a2], [1, 1]), d)
-        b1, b2 = x, y
-        pa = pairing(gram, a1, a2)
+        v1 = _divided(combo([a1, x], [1, 1]), d)
+        v2 = _divided(combo([y, a2], [1, 1]), d)
+        pa = pairing(gram_u, a1, a2)
     _ensure(pa == -d, "normalization failed to reach (a1, a2) = -d")
 
-    # --- step 5: orthogonal complement of (a1, a2) inside U_A ---------------
+    # --- step 5: orthogonal complement of (a1, a2) inside U_A, ambient ------
     if g == 2:
         k_e: list[Vector] = []
         k_f: list[Vector] = []
@@ -399,19 +396,20 @@ def construct_adapted_basis(p: AdaptedBasisProblem) -> AdaptedBasis:
         projected = []
         for t in cols_a:
             # pi(t) = t + (t, v2)*a1 - (t, v1)*a2 kills pairings with a1, a2
-            ct2 = pairing(gram, t, v2)
-            ct1 = pairing(gram, t, v1)
+            ct2 = pairing(gram_u, t, v2)
+            ct1 = pairing(gram_u, t, v1)
             projected.append(combo([t, a1, a2], [1, ct2, -ct1]))
-        k_cols = column_lattice_basis(_column_matrix(projected))
+        k_cols = column_lattice_basis(p.U * _column_matrix(projected))
         _ensure(len(k_cols) == 2 * g - 4, "complement has unexpected rank")
         k_mat = _column_matrix(k_cols)
         basis_k, ptype_k = frobenius_basis(
-            AlternatingForm(gram_in_basis(gram, k_mat))
+            AlternatingForm(gram_in_basis(p.form.gram, k_mat))
         )
         _ensure(ptype_k == principal_type(g - 2), "complement is not principal")
         k_ambient = [mat_vec(k_mat, c) for c in basis_k.columns()]
         k_e, k_f = k_ambient[: g - 2], k_ambient[g - 2 :]
 
+    a2, b1, v1, v2 = (mat_vec(p.U, v) for v in (a2, b1, v1, v2))
     vectors = tuple(k_e) + (a2, b1) + tuple(k_f) + (v1, v2)
     result = AdaptedBasis(g=g, d=d, vectors=vectors)
     if not is_adapted_basis(p, result):

@@ -12,7 +12,7 @@ import argparse
 import json
 import sys
 
-from .adapted import AdaptedBasisProblem, construct_adapted_basis, is_adapted_basis
+from .adapted import AdaptedBasisProblem, construct_adapted_basis
 from .errors import DomainError, UsageError
 from .intlinalg import IntMatrix
 from .invariants import invariants_g2, invariants_g3, run_identity_checks
@@ -130,6 +130,10 @@ def _loads(text: str, what: str):
         raise UsageError(f"malformed JSON for {what}: {exc}") from exc
 
 
+# the widest --d-range accepted; 10 000 levels of `check` take a few seconds
+_MAX_RANGE_LEVELS = 10_000
+
+
 def _parse_range(text: str) -> tuple[int, int]:
     parts = text.split(":")
     if len(parts) != 2:
@@ -138,6 +142,10 @@ def _parse_range(text: str) -> tuple[int, int]:
         lo, hi = int(parts[0]), int(parts[1])
     except ValueError as exc:
         raise UsageError(f"malformed range {text!r}") from exc
+    if hi - lo + 1 > _MAX_RANGE_LEVELS:
+        raise UsageError(
+            f"range {text!r} spans {hi - lo + 1} levels; at most {_MAX_RANGE_LEVELS} are allowed"
+        )
     return lo, hi
 
 
@@ -247,7 +255,7 @@ def _cmd_adapted_basis(args) -> tuple[str, int]:
         "d": basis.d,
         "labels": labels,
         "vectors": vectors,
-        "adapted": is_adapted_basis(problem, basis),
+        "adapted": True,  # construct_adapted_basis raises unless it verified this
     }
     if args.format == "json":
         return encode_json(payload), 0

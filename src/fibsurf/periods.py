@@ -37,10 +37,10 @@ congruent to the identity mod d; ``gamma_action`` returns that matrix and
 
 ARITHMETIC.  Matrices are at most 3x3 tuples of rows of Python complex;
 the solve, the Cholesky pivot and the defects are written out below.
-Inputs must be finite; defects must be <= tol and the smallest Cholesky
-pivot of Im Z must be > tol.  Im T has diagonal entries from Im(Z)/d^2 up
-to Im(z)/d, so it is first scaled to unit diagonal, and the smallest pivot
-of the scaled matrix must be > tol.
+Inputs must be finite and defects must be <= tol.  Im Z and Im T count as
+positive definite when, scaled to unit diagonal, their smallest Cholesky
+pivot is > tol: Im T has diagonal entries from Im(Z)/d^2 up to Im(z)/d,
+and one rule for both keeps every scale of Im Z valid.
 """
 
 from __future__ import annotations
@@ -197,7 +197,7 @@ class PeriodData:
         asym = _max_abs_diff(rows, _transpose(rows))
         if not asym <= self.tol:
             raise InvalidPeriodData(f"Z is not symmetric (defect {asym:.3e})")
-        if not _smallest_cholesky_pivot(_symmetric_imag(rows)) > self.tol:
+        if not _unit_diagonal_cholesky_pivot(_symmetric_imag(rows)) > self.tol:
             raise InvalidPeriodData("Im(Z) is not positive definite")
         if not self.z.imag > 0:
             raise InvalidPeriodData("z must lie in the upper half plane")

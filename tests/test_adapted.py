@@ -54,6 +54,31 @@ def test_construct_on_randomized_problems():
             assert is_adapted_basis(p, b), (g, d)
 
 
+# construct_adapted_basis on randomized_problem(Random(seed), g, d), whose U
+# is not the identity, so that a mix-up between U-coordinates and ambient
+# coordinates changes the vectors.  (2, 5, 20261015) takes the g = 2 branch
+# of step 4 (j = -35), (3, 4, 20261009) the g >= 3 branch (j = -2).
+FROZEN_U_FRAME = {
+    (2, 5, 20261015): ((6, 4, -1, 20), (2, 1, 0, 0), (0, 0, 0, -1), (3, 1, 0, 4)),
+    (2, 6, 20261000): ((-64, 12, 3, -10), (0, 1, 0, -1), (1, 0, 0, 0), (-8, 0, -1, -1)),
+    (3, 4, 20261009): (
+        (0, 2, -2, -48, 5, 28), (8, 1, -1, -6, -2, 5), (0, -1, 9, 4, 18, -2),
+        (1, 1, -1, -22, 2, 13), (0, 0, 2, -5, 5, 3), (2, 0, 1, -1, 2, 1),
+    ),
+    (3, 6, 20261000): (
+        (1, -2, 0, 1, 0, 0), (12, -11, 11, 12, 6, 0), (0, -4, 4, 1, 0, 5),
+        (0, 1, 0, 0, 0, 0), (8, -8, 8, 8, 4, 1), (2, -2, 2, 2, 1, 0),
+    ),
+}
+
+
+@pytest.mark.parametrize("g, d, seed", sorted(FROZEN_U_FRAME))
+def test_construct_frozen_vectors_in_non_identity_u(g, d, seed):
+    p = randomized_problem(Random(seed), g, d)
+    assert p.U != IntMatrix.identity(2 * g)
+    assert construct_adapted_basis(p).vectors == FROZEN_U_FRAME[g, d, seed]
+
+
 def test_derived_vector_relations():
     """u_{2g-1} = d*u_{2g+1} - u_g and u_{2g} = d*u_{2g+2} - u_{g-1}."""
     rng = Random(402)

@@ -131,6 +131,22 @@ def test_check_bad_range(capsys):
     assert code == 2 and err.startswith("usage error:")
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["check", "--d-range", "3:1000000000"],
+        ["check", "--d-range", "3:10003"],
+        ["invariants", "table", "--g", "3", "--d-range", "3:1000000000"],
+    ],
+)
+def test_range_wider_than_cap_is_refused(capsys, argv):
+    """Ranges of more than 10 000 levels are a usage error, raised before
+    any level is computed."""
+    code, out, err = run_cli(capsys, argv)
+    assert code == 2 and out == ""
+    assert err.startswith("usage error:") and "at most 10000" in err
+
+
 # ------------------------------------------------------------ adapted-basis
 
 
@@ -262,6 +278,16 @@ def test_period_tsv_uses_plain_decimal_cells(capsys):
         "0.03125,0.125\t0.25,0.0\n"
         "0.25,0.0\t0.0625,0.375\n"
     )
+
+
+def test_period_accepts_small_im_z(capsys):
+    """Positivity of Im Z is judged after scaling to unit diagonal, as for
+    Im T, so a small positive Im Z is a valid point."""
+    code, out, err = run_cli(
+        capsys, ["period", "--g", "2", "--d", "3", "--Z", "[[[0,1e-10]]]", "--z", "0,1"]
+    )
+    assert code == 0 and err == ""
+    assert json.loads(out)["T"]["entries"][0][0] == ["0.0", "1.1111111111111111e-11"]
 
 
 def test_period_rejects_bad_point(capsys):

@@ -157,9 +157,13 @@ def test_frobenius_postcondition_and_type_invariance(data):
 def test_polarization_type_errors():
     with pytest.raises(OddDimension):
         polarization_type(AlternatingForm(IntMatrix([[0]])))
-    degenerate = AlternatingForm(IntMatrix([[0, 0], [0, 0]]))
-    with pytest.raises(Degenerate):
-        polarization_type(degenerate)
+    for gram in (
+        [[0, 0], [0, 0]],
+        # rank 2: the first block reduces, the second has no nonzero pairing
+        [[0, 1, 0, 0], [-1, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0]],
+    ):
+        with pytest.raises(Degenerate):
+            polarization_type(AlternatingForm(IntMatrix(gram)))
 
 
 def test_associated_degree():

@@ -69,6 +69,15 @@ def random_point(rng: Random, g: int, d: int, tol=1e-9) -> PeriodData:
 # ---------------------------------------------------------------- validation
 
 
+def test_period_data_accepts_small_im_z():
+    """Im Z, like Im T, is scaled to unit diagonal before its smallest
+    Cholesky pivot is compared with tol, so its size does not matter."""
+    for g, z_mat in ((2, ((1e-10j,),)), (3, ((1e-10j, 0), (0, 2e-12j)))):
+        p = PeriodData(g=g, d=3, Z=z_mat, z=1j)
+        t = period_matrix(p).array()
+        assert np.linalg.eigvalsh((t.imag + t.imag.T) / 2).min() > 0
+
+
 def test_period_data_validation():
     with pytest.raises(InvalidPeriodData):
         PeriodData(g=4, d=3, Z=((1j, 0), (0, 1j)), z=1j)
@@ -80,6 +89,8 @@ def test_period_data_validation():
         PeriodData(g=3, d=3, Z=((1j, 0), (0, -1j)), z=1j)
     with pytest.raises(InvalidPeriodData):  # Im Z only semidefinite
         PeriodData(g=2, d=3, Z=((0j,),), z=1j)
+    with pytest.raises(InvalidPeriodData):  # Im Z singular, unit diagonal
+        PeriodData(g=3, d=3, Z=((1j, 1j), (1j, 1j)), z=1j)
     with pytest.raises(InvalidPeriodData):  # z on the real axis
         PeriodData(g=3, d=3, Z=((1j, 0), (0, 1j)), z=0.5)
     with pytest.raises(InvalidPeriodData):  # wrong shape
