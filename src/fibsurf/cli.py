@@ -4,6 +4,8 @@ Subcommands: modular, invariants, check, adapted-basis, period, monodromy,
 polarization, distinguish.  Output is JSON (default) or TSV via --format;
 both are byte-deterministic for fixed inputs.  Exit status: 0 on success,
 1 on a domain error (error code + message on stderr), 2 on usage errors.
+Each subcommand imports only the modules it uses, so a cold start of
+``modular`` does not load the lattice or period code.
 """
 
 from __future__ import annotations
@@ -12,32 +14,13 @@ import argparse
 import json
 import sys
 
-from .adapted import AdaptedBasisProblem, construct_adapted_basis
-from .errors import DomainError, UsageError
-from .intlinalg import IntMatrix
-from .invariants import invariants_g2, invariants_g3, run_identity_checks
-from .lattice_core import (
-    AlternatingForm,
-    associated_degree,
-    conjugacy_invariants,
-    polarization_type,
-)
-from .errors import NotCoprincipal
-from .modular import IRREGULAR, REGULAR, modular_data
-from .periods import (
-    PeriodData,
-    default_tolerance,
-    distinguish_monodromies,
-    monodromy_at_cusp,
-    period_matrix,
-)
+from .errors import DomainError, NotCoprincipal, UsageError
 from .serialize import (
     complex_matrix_jsonable,
     encode_json,
     parse_complex_matrix,
     parse_complex_pair,
     parse_int_matrix,
-    to_jsonable,
     tsv_table,
 )
 
@@ -142,6 +125,8 @@ def _parse_range(text: str) -> tuple[int, int]:
         lo, hi = int(parts[0]), int(parts[1])
     except ValueError as exc:
         raise UsageError(f"malformed range {text!r}") from exc
+    if hi < lo:
+        raise UsageError(f"empty range {text!r}: hi must be at least lo")
     if hi - lo + 1 > _MAX_RANGE_LEVELS:
         raise UsageError(
             f"range {text!r} spans {hi - lo + 1} levels; at most {_MAX_RANGE_LEVELS} are allowed"
@@ -182,6 +167,8 @@ def _invariant_row(inv) -> tuple:
 
 
 def _cmd_modular(args) -> tuple[str, int]:
+    from .modular import modular_data
+
     data = modular_data(args.d)
     if args.format == "json":
         return encode_json(data), 0
@@ -190,6 +177,8 @@ def _cmd_modular(args) -> tuple[str, int]:
 
 
 def _cmd_invariants(args) -> tuple[str, int]:
+    from .invariants import invariants_g2, invariants_g3
+
     table = invariants_g2 if args.g == 2 else invariants_g3
     if args.mode == "table":
         if not args.d_range:
@@ -208,6 +197,8 @@ def _cmd_invariants(args) -> tuple[str, int]:
 
 
 def _cmd_check(args) -> tuple[str, int]:
+    from .invariants import run_identity_checks
+
     lo, hi = _parse_range(args.d_range)
     results = run_identity_checks(lo, hi)
     all_ok = all(passed for _, passed in results)
@@ -226,6 +217,9 @@ def _cmd_check(args) -> tuple[str, int]:
 
 
 def _cmd_adapted_basis(args) -> tuple[str, int]:
+    from .adapted import AdaptedBasisProblem, construct_adapted_basis
+    from .lattice_core import AlternatingForm
+
     try:
         with open(args.input, "r", encoding="utf-8") as fh:
             text = fh.read()
@@ -265,6 +259,8 @@ def _cmd_adapted_basis(args) -> tuple[str, int]:
 
 
 def _cmd_period(args) -> tuple[str, int]:
+    from .periods import PeriodData, default_tolerance, period_matrix
+
     z_mat = parse_complex_matrix(_loads(args.Z, "--Z"))
     z = parse_complex_pair(args.z)
     tol = args.tol if args.tol is not None else default_tolerance()
@@ -283,6 +279,9 @@ def _cmd_period(args) -> tuple[str, int]:
 
 
 def _cmd_monodromy(args) -> tuple[str, int]:
+    from .modular import IRREGULAR, REGULAR
+    from .periods import monodromy_at_cusp
+
     case = REGULAR if args.case == "regular" else IRREGULAR
     mono = monodromy_at_cusp(args.g, args.d, case)
     if args.format == "json":
@@ -294,6 +293,8 @@ def _cmd_monodromy(args) -> tuple[str, int]:
 
 
 def _cmd_polarization(args) -> tuple[str, int]:
+    from .lattice_core import AlternatingForm, associated_degree, polarization_type
+
     form = AlternatingForm(parse_int_matrix(_loads(args.gram, "--gram")))
     ptype = polarization_type(form)
     try:
@@ -313,6 +314,10 @@ def _cmd_polarization(args) -> tuple[str, int]:
 
 
 def _cmd_distinguish(args) -> tuple[str, int]:
+    from .lattice_core import conjugacy_invariants
+    from .modular import IRREGULAR, REGULAR
+    from .periods import distinguish_monodromies, monodromy_at_cusp
+
     if (args.a is None) != (args.b is None):
         raise UsageError("provide both --a and --b, or neither")
     if args.a is not None:

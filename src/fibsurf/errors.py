@@ -106,7 +106,12 @@ class UnsupportedCombination(DomainError):
 # --- surface invariants -----------------------------------------------------
 
 class IdentityViolation(DomainError):
-    """Internal consistency identity between invariants failed."""
+    """An identity between invariants failed at level ``d``: its two sides
+    ``lhs`` and ``rhs`` differ."""
+
+    def __init__(self, identity: str, d: int, lhs, rhs):
+        super().__init__(f"identity {identity} failed at d={d}: {lhs} != {rhs}")
+        self.identity, self.d, self.lhs, self.rhs = identity, d, lhs, rhs
 
 
 class InfeasibleCover(DomainError):

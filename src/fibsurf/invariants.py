@@ -1,13 +1,18 @@
 """Numerical invariants of maximally irregular fibred surfaces.
 
-For fibre genus 2 the base curve is the modular curve X(d) itself and the
-invariants are linear in d times Delta_d; for fibre genus 3 the base is a
-double cover B -> X(d) ramified over the hyperelliptic points and all
-invariants again clear denominators against Delta_d.  Everything here is
-computed with exact rationals and asserted integral; the defining
-identities (Noether, Riemann-Hurwitz, the chi and H derivations, the Euler
-fibre sums) are re-checked on every construction so a transcription error
-cannot survive silently.
+For fibre genus 2 the base curve is the modular curve X(d) itself; for fibre
+genus 3 it is a double cover B -> X(d) ramified over the hyperelliptic
+points.  Every table field has the form (a*d + b) * Delta_d for small
+integers a, b, and Delta_d = J_2(d)/24 with Jordan's totient J_2(d) an
+integer (see ``fibsurf.modular``).  So each field is one division by 24 of
+an int, checked to leave no remainder, and the tables hold ints only; the
+Fractions left are ``SurfaceInvariants.delta`` and ``slope``.
+
+The identities (Noether, the signature formula, Riemann-Hurwitz, the chi
+and H derivations, the Euler fibre sums) and the inequalities drawn from
+them are written once, as the table ``_identities`` of (name, lhs, rhs) on
+ints.  Each public call factors d once and evaluates the whole table; a
+failure raises ``IdentityViolation`` with the name and both sides.
 
 Conventions: chi means chi(O), K2 the self-intersection of the canonical
 class, tau the index (signature), H the number of hyperelliptic fibres,
@@ -77,52 +82,108 @@ GENUS2_PLUS_RATIONAL_TWO_NODES = "Genus2PlusRationalTwoNodes"
 HYPERELLIPTIC_FIBRE_DEFECT = 2
 
 
-def _exact_int(value: Fraction, what: str) -> int:
-    if value.denominator != 1:
-        raise IdentityViolation(f"{what} = {value} is not an integer")
-    return int(value)
+#: What run_identity_checks reports, in order: every table field is an
+#: integer, then the names of _identities.
+_CHECKS = (
+    "tables_construct", "noether_g2", "noether_g3", "tau_formula",
+    "tau_positive_iff_d_gt_3", "riemann_hurwitz", "chi_derivation",
+    "h_derivation", "euler_fibre_sum", "g2_common_defect",
+    "unique_fibration_g3", "arakelov_g3",
+)
 
 
-def _require(condition: bool, name: str) -> None:
-    if not condition:
-        raise IdentityViolation(f"identity {name} failed")
+#: The table fields as (name, a, b): each field is (a*d + b) * Delta_d; the
+#: genus-3 fields are followed by delta0 = 24*Delta_d and delta1 = 0.
+_G2_FIELDS = (("s", 5, -6), ("c2", 9, -18), ("chi", 2, -6), ("K2", 15, -54))
+_G3_FIELDS = (
+    ("g(B) - 1", 20, -36), ("c2", 160, -264), ("chi", 42, -72),
+    ("K2", 344, -600), ("tau", 8, -24), ("H", 36, -48), ("lambda", 2, 0),
+)
+
+
+def _over24(d: int, j: int, fields: tuple) -> list[int]:
+    """(a*d + b) * j / 24 for each (name, a, b) of fields, where
+    j = J_2(d) = 24*Delta_d, each checked to be an integer."""
+    out = []
+    for name, a, b in fields:
+        q, r = divmod((a * d + b) * j, 24)
+        if r:
+            raise IdentityViolation(f"24 divides 24*{name}", d, r, 0)
+        out.append(q)
+    return out
+
+
+def _fibre_defect(g: int, c2: int, b: int) -> int:
+    """Total singular-fibre defect c2 - chi_top(F)*chi_top(B) of a family of
+    fibre genus g over a base of genus b."""
+    return c2 - (2 - 2 * g) * (2 - 2 * b)
+
+
+def _fields(d: int) -> tuple:
+    """(Delta_d, g(X), t, genus-2 fields, genus-3 fields) at level d, from
+    one factoring of d.  The genus-2 fields are (s, c2, chi, K2), the
+    genus-3 fields (g(B), c2, chi, K2, tau, H, lambda, delta0, delta1)."""
+    if d < 3:
+        raise LevelTooSmall(f"invariants need d >= 3, got {d}")
+    data = modular_data(d)
+    dl = data.delta
+    j = dl.numerator * (24 // dl.denominator)  # J_2(d) = 24*Delta_d
+    gb_1, *g3 = _over24(d, j, _G3_FIELDS)
+    g3 = (gb_1 + 1, *g3, j, 0)
+    return dl, data.genus, data.cusps, _over24(d, j, _G2_FIELDS), g3
+
+
+def _identities(d: int, gx: int, t: int, g2: list[int], g3: tuple[int, ...]) -> tuple:
+    """Every identity the two tables obey at level d, as (name, lhs, rhs);
+    sides with chi or Delta are cleared of denominators, and a name that
+    repeats covers both genera."""
+    s, c2, chi, k2 = g2
+    gb, c3, chi3, k3, tau, h, lam, d0, d1 = g3
+    j = d0  # J_2(d) = 24*Delta_d
+    return (
+        ("noether_g2", k2 + c2, 12 * chi),
+        ("noether_g3", k3 + c3, 12 * chi3),
+        ("tau_formula", 3 * tau, k3 - 2 * c3),
+        ("tau_positive_iff_d_gt_3", tau > 0, d > 3),
+        ("riemann_hurwitz", 2 * (gb - 1), 2 * (2 * gx - 2) + h),
+        # genus 2: chi = 2g(X) - 2 + t/2 and K2 = 6chi + 3g(X) - 3;
+        # genus 3: chi = 2(g(B) - 1) + 2d*Delta
+        ("chi_derivation", 2 * chi, 2 * (2 * gx - 2) + t),
+        ("chi_derivation", k2, 6 * chi + 3 * gx - 3),
+        ("chi_derivation", 24 * chi3, 48 * (gb - 1) + 2 * d * j),
+        ("h_derivation", h, 18 * lam - 2 * d0 - 3 * d1),
+        # each cusp carries total defect 2, so the defect is 2t = 24*Delta
+        ("euler_fibre_sum", _fibre_defect(3, c3, gb), j),
+        # s + t = (5d+6)*Delta, and c2 = s + t + 4g(X) - 4
+        ("g2_common_defect", 24 * (s + t), (5 * d + 6) * j),
+        ("g2_common_defect", s + t, _fibre_defect(2, c2, gx)),
+        ("unique_fibration_g3", unique_fibration_criterion(k3, 3), True),
+        ("arakelov_g3", k3 >= 8 * (gb - 1) * (3 - 1), True),
+    )
+
+
+def _verified(d: int) -> tuple:
+    """_fields(d), less t, once every identity has held."""
+    dl, gx, t, g2, g3 = _fields(d)
+    for name, lhs, rhs in _identities(d, gx, t, g2, g3):
+        if lhs != rhs:
+            raise IdentityViolation(name, d, lhs, rhs)
+    return dl, gx, g2, g3
 
 
 def invariants_g2(d: int) -> SurfaceInvariants:
     """Invariant table for fibre genus 2 over X(d), d >= 3.
 
     s = (5d-6)Delta, c2 = (9d-18)Delta, chi = (2d-6)Delta,
-    K2 = (15d-54)Delta; the defining identities
-    c2 = s + t + 4g(X) - 4, chi = 2g(X) - 2 + t/2 and
-    K2 = 6chi + 3g(X) - 3 are re-verified.  d = 3 yields chi = 0 and
-    K2 < 0; the formula values are still returned but flagged as not of
-    general type.
+    K2 = (15d-54)Delta, with Delta = J_2(d)/24; every identity of both
+    tables is verified, among them c2 = s + t + 4g(X) - 4,
+    chi = 2g(X) - 2 + t/2 and K2 = 6chi + 3g(X) - 3.  d = 3 yields chi = 0
+    and K2 < 0; the formula values are still returned but flagged as not
+    of general type.
     """
-    if d < 3:
-        raise LevelTooSmall(f"invariants need d >= 3, got {d}")
-    dd = Fraction(d)
-    data = modular_data(d)
-    dl, gx, t = data.delta, data.genus, data.cusps
-
-    s = _exact_int((5 * dd - 6) * dl, "s")
-    c2 = _exact_int((9 * dd - 18) * dl, "c2")
-    chi = _exact_int((2 * dd - 6) * dl, "chi")
-    k2 = _exact_int((15 * dd - 54) * dl, "K2")
-
-    _require(c2 == s + t + 4 * gx - 4, "c2 = s + t + 4g(X) - 4")
-    _require(Fraction(chi) == 2 * gx - 2 + Fraction(t, 2), "chi = 2g(X) - 2 + t/2")
-    _require(k2 == 6 * chi + 3 * gx - 3, "K2 = 6chi + 3g(X) - 3")
-    _require(k2 + c2 == 12 * chi, "Noether")
-
+    dl, gx, (s, c2, chi, k2), _ = _verified(d)
     return SurfaceInvariants(
-        g=2,
-        d=d,
-        delta=dl,
-        base_genus=gx,
-        s=s,
-        c2=c2,
-        chi=chi,
-        K2=k2,
+        g=2, d=d, delta=dl, base_genus=gx, s=s, c2=c2, chi=chi, K2=k2,
         general_type=chi > 0 and k2 > 0,
     )
 
@@ -133,45 +194,14 @@ def invariants_g3(d: int) -> SurfaceInvariants:
     s = 0, g(B) = (20d-36)Delta + 1, c2 = (160d-264)Delta,
     chi = (42d-72)Delta, K2 = (344d-600)Delta, tau = (8d-24)Delta,
     lambda = 2d*Delta, delta0 = 24*Delta, delta1 = 0,
-    H = (36d-48)Delta; Noether, Riemann-Hurwitz, the chi derivation and
-    the H derivation are re-verified.
+    H = (36d-48)Delta, with Delta = J_2(d)/24; every identity of both
+    tables is verified, among them Noether, Riemann-Hurwitz and the chi
+    and H derivations.
     """
-    if d < 3:
-        raise LevelTooSmall(f"invariants need d >= 3, got {d}")
-    dd = Fraction(d)
-    data = modular_data(d)
-    dl, gx = data.delta, data.genus
-
-    gb = _exact_int((20 * dd - 36) * dl + 1, "base genus")
-    c2 = _exact_int((160 * dd - 264) * dl, "c2")
-    chi = _exact_int((42 * dd - 72) * dl, "chi")
-    k2 = _exact_int((344 * dd - 600) * dl, "K2")
-    tau = _exact_int((8 * dd - 24) * dl, "tau")
-    lam = _exact_int(2 * dd * dl, "lambda")
-    d0 = _exact_int(24 * dl, "delta0")
-    d1 = 0
-    h = _exact_int((36 * dd - 48) * dl, "H")
-
-    _require(k2 + c2 == 12 * chi, "Noether")
-    _require(3 * tau == k2 - 2 * c2, "tau = (K2 - 2c2)/3")
-    _require(2 * (gb - 1) == 2 * (2 * gx - 2) + h, "Riemann-Hurwitz for B -> X(d)")
-    _require(Fraction(chi) == 2 * (gb - 1) + 2 * dd * dl, "chi = 2(g(B)-1) + 2d*Delta")
-    _require(h == 18 * lam - 2 * d0 - 3 * d1, "H = 18*lambda - 2*delta0 - 3*delta1")
-
+    dl, _, _, (gb, c2, chi, k2, tau, h, lam, d0, d1) = _verified(d)
     return SurfaceInvariants(
-        g=3,
-        d=d,
-        delta=dl,
-        base_genus=gb,
-        s=0,
-        c2=c2,
-        chi=chi,
-        K2=k2,
-        tau=tau,
-        H=h,
-        lambda_=lam,
-        delta0=d0,
-        delta1=d1,
+        g=3, d=d, delta=dl, base_genus=gb, s=0, c2=c2, chi=chi, K2=k2,
+        tau=tau, H=h, lambda_=lam, delta0=d0, delta1=d1,
         general_type=chi > 0 and k2 > 0,
     )
 
@@ -205,8 +235,7 @@ def euler_fibre_sum_check(inv: SurfaceInvariants) -> bool:
     defect-1 fibres or one defect-2 hyperelliptic fibre)."""
     if inv.g != 3:
         raise UnsupportedGenus("the Euler fibre sum applies to genus 3")
-    defect = inv.c2 - (2 - 2 * inv.g) * (2 - 2 * inv.base_genus)
-    return Fraction(defect) == 24 * delta(inv.d)
+    return _fibre_defect(3, inv.c2, inv.base_genus) == 24 * delta(inv.d)
 
 
 def slope(inv: SurfaceInvariants, b: int, g: int) -> Fraction:
@@ -281,56 +310,25 @@ def fibre_types(g: int) -> FibreTypeCatalogue:
 
 
 def run_identity_checks(d_lo: int = 3, d_hi: int = 100) -> list[tuple[str, bool]]:
-    """Evaluate every exact identity of this module over a range of levels.
+    """Evaluate every exact identity of this module over a range of levels,
+    factoring each level once.
 
-    Returns (name, passed) pairs; construction-time assertions surface as
-    a failed "tables" entry rather than an exception.
+    Returns (name, passed) pairs in the order of _CHECKS.  A table
+    field that is not an integer at some level fails "tables_construct"
+    and skips the identities of that level.
     """
     if d_lo < 3:
         raise LevelTooSmall(f"identity checks need d >= 3, got {d_lo}")
     if d_hi < d_lo:
         raise InvalidArgument("empty level range")
-
-    names = [
-        "tables_construct",
-        "noether_g2",
-        "noether_g3",
-        "tau_formula",
-        "tau_positive_iff_d_gt_3",
-        "riemann_hurwitz",
-        "chi_derivation",
-        "h_derivation",
-        "euler_fibre_sum",
-        "g2_common_defect",
-        "unique_fibration_g3",
-        "arakelov_g3",
-    ]
-    ok = dict.fromkeys(names, True)
-
+    ok = dict.fromkeys(_CHECKS, True)
     for d in range(d_lo, d_hi + 1):
         try:
-            i2 = invariants_g2(d)
-            i3 = invariants_g3(d)
+            _, gx, t, g2, g3 = _fields(d)
         except IdentityViolation:
             ok["tables_construct"] = False
             continue
-        dl = i2.delta
-        t = 12 * dl
-        ok["noether_g2"] &= i2.K2 + i2.c2 == 12 * i2.chi
-        ok["noether_g3"] &= i3.K2 + i3.c2 == 12 * i3.chi
-        ok["tau_formula"] &= 3 * i3.tau == i3.K2 - 2 * i3.c2
-        ok["tau_positive_iff_d_gt_3"] &= (i3.tau > 0) == (d > 3)
-        ok["riemann_hurwitz"] &= 2 * (i3.base_genus - 1) == 2 * (
-            2 * i2.base_genus - 2
-        ) + i3.H
-        ok["chi_derivation"] &= (
-            Fraction(i3.chi) == 2 * (i3.base_genus - 1) + 2 * d * dl
-        )
-        ok["h_derivation"] &= i3.H == 18 * i3.lambda_ - 2 * i3.delta0 - 3 * i3.delta1
-        ok["euler_fibre_sum"] &= euler_fibre_sum_check(i3)
-        ok["g2_common_defect"] &= Fraction(i2.s + t) == (5 * d + 6) * dl and (
-            i2.s + t == i2.c2 - (-2) * (2 - 2 * i2.base_genus)
-        )
-        ok["unique_fibration_g3"] &= unique_fibration_criterion(i3.K2, 3)
-        ok["arakelov_g3"] &= arakelov_holds(i3, i3.base_genus, 3)
-    return [(name, bool(ok[name])) for name in names]
+        for name, lhs, rhs in _identities(d, gx, t, g2, g3):
+            if lhs != rhs:
+                ok[name] = False
+    return list(ok.items())

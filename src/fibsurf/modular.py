@@ -2,8 +2,13 @@
 
 Three ingredients live here:
 
-* the exact rational Delta_d = (d^2/24) * prod_{p | d} (1 - 1/p^2) and the
-  derived genus/cusp counts of X(d), for 2 <= d < psi_13 (see FACTORING);
+* the exact rational Delta_d = J_2(d)/24, where Jordan's totient
+  J_2(d) = d^2 * prod_{p | d} (1 - 1/p^2) is an integer (Shimura,
+  Introduction to the Arithmetic Theory of Automorphic Functions, 1.6;
+  Diamond-Shurman, GTM 228, 3.9), and the genus/cusp counts of X(d), each
+  an integer multiple of J_2(d) divided by 24, for 2 <= d < psi_13 (see
+  FACTORING).  Only ``delta`` and ``ModularCurveData.delta`` are Fractions;
+  everything else is computed on ints;
 * membership in Gamma(d) = {M in SL_2(Z) : M = I mod d};
 * the four index-2 complements of {+-1} inside Gamma(2), classified by their
   sets S of irregular cusps (S a subset of {0, 1, inf} of size 1 or 3).
@@ -28,16 +33,18 @@ odd diagonal, even off-diagonal - makes the reduction strict), then compare
 sigma with eps_a^(e_A) * eps_b^(e_B), where e_A, e_B are the exponent sums
 of the word (well defined modulo 2).
 
-FACTORING.  Delta_d needs the primes dividing d.  They are found by trial
-division by the primes below 100, then, for the cofactor, Miller-Rabin to
-the 13 prime bases 2..41 and Brent's variant of Pollard rho (R. P. Brent,
+FACTORING.  J_2(d) needs the primes dividing d, found once per call.  They
+are found by trial division by the primes below 100, then, for the
+cofactor, Miller-Rabin to the 13 prime bases 2..41, an integer k-th root
+test for perfect powers, and Brent's variant of Pollard rho (R. P. Brent,
 BIT 20, 1980).  Miller-Rabin to these bases proves primality below
 psi_13 = 3 317 044 064 679 887 385 961 981, the least strong pseudoprime to
 all of them (Sorenson and Webster, Math. Comp. 86, 2017), so every answer
-is exact; levels d >= psi_13 raise LevelTooLarge.  Rho needs about
-p^(1/2) steps for the smallest prime p of the cofactor, so the running
+is exact; levels d >= psi_13 raise LevelTooLarge.  Squares and higher
+powers of primes never reach rho.  Rho needs about p^(1/2) steps for the
+smallest prime p of a composite that is no perfect power, so the running
 time is bounded over the whole domain: well under a millisecond for most
-levels, and about 2 s at worst (the square of a prime near 1.8e12).
+levels, and about 3 s at worst (a product of two primes near 1.8e12).
 """
 
 from __future__ import annotations
@@ -45,7 +52,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import count
-from math import gcd
+from math import gcd, isqrt
 
 from .errors import (
     InvalidCuspSet,
@@ -141,6 +148,31 @@ def _rho_divisor(n: int) -> int:
             return g
 
 
+def _perfect_root(m: int) -> int:
+    """The least r with r^k = m for some k >= 2, or m itself when m is no
+    perfect power; for m whose prime factors all exceed 97, so k <= 11 below
+    PSI_13.  The float k-th root is exact to well under 1/2 there."""
+    for k in (2, 3, 5, 7, 11):
+        if 101**k > m:
+            break
+        r = isqrt(m) if k == 2 else round(m ** (1.0 / k))
+        if r**k == m:
+            return _perfect_root(r)
+    return m
+
+
+def _prime_divisor(m: int) -> int:
+    """A prime dividing m > 1, where m has no prime factor in _SMALL_PRIMES."""
+    while not (m < _SURELY_PRIME_BELOW or _is_prime(m)):
+        r = _perfect_root(m)
+        if r != m:
+            m = r
+        else:
+            f = _rho_divisor(m)
+            m = min(f, m // f)
+    return m
+
+
 def _prime_factors(n: int) -> list[int]:
     """The distinct primes dividing n, for 1 <= n < PSI_13, in increasing
     order (see FACTORING in the module docstring)."""
@@ -153,47 +185,55 @@ def _prime_factors(n: int) -> list[int]:
             n //= p
             while n % p == 0:
                 n //= p
-    # n is now 1, a prime below 97^2, or has every prime factor above 97
+    # n is now 1, a prime below 97^2, or has every prime factor above 97;
+    # each prime found is divided out in full before the next is sought
     large = []
-    pending = [n] if n > 1 else []
-    while pending:
-        m = pending.pop()
-        if m < _SURELY_PRIME_BELOW or _is_prime(m):
-            large.append(m)
-        else:
-            f = _rho_divisor(m)
-            pending += (f, m // f)
-    return out + sorted(set(large))
+    while n > 1:
+        p = _prime_divisor(n)
+        large.append(p)
+        n //= p
+        while n % p == 0:
+            n //= p
+    return out + sorted(large)
 
 
-def delta(d: int) -> Fraction:
-    """Delta_d = (d^2 / 24) * prod over primes p | d of (1 - 1/p^2), for
-    2 <= d < PSI_13."""
-    if d < 2:
-        raise LevelTooSmall(f"delta is defined for d >= 2, got {d}")
+def _jordan2(d: int) -> int:
+    """Jordan's totient J_2(d) = d^2 * prod over primes p | d of
+    (1 - 1/p^2), an integer, equal to 24 * Delta_d; for 1 <= d < PSI_13."""
     if d >= PSI_13:
         raise LevelTooLarge(
             f"levels are factored exactly only below psi_13 = {PSI_13}, got {d}"
         )
-    value = Fraction(d * d, 24)
+    j = d * d
     for p in _prime_factors(d):
-        value *= Fraction(p * p - 1, p * p)
-    return value
+        q = p * p
+        j = j // q * (q - 1)
+    return j
+
+
+def delta(d: int) -> Fraction:
+    """Delta_d = J_2(d) / 24 = (d^2 / 24) * prod over primes p | d of
+    (1 - 1/p^2), for 2 <= d < PSI_13."""
+    if d < 2:
+        raise LevelTooSmall(f"delta is defined for d >= 2, got {d}")
+    return Fraction(_jordan2(d), 24)
 
 
 def modular_data(d: int) -> ModularCurveData:
     """Genus and cusp count of X(d): g = (d-6)*Delta_d + 1, t = 12*Delta_d,
-    for 3 <= d < PSI_13."""
+    for 3 <= d < PSI_13; each is one division by 24 of an integer multiple
+    of J_2(d) = 24*Delta_d, checked to leave no remainder."""
     if d < 3:
         raise LevelTooSmall(f"modular data requires d >= 3, got {d}")
-    dl = delta(d)
-    genus = (d - 6) * dl + 1
-    cusps = 12 * dl
-    if genus.denominator != 1 or cusps.denominator != 1:
+    j = _jordan2(d)
+    genus, rg = divmod((d - 6) * j + 24, 24)
+    cusps, rc = divmod(12 * j, 24)
+    if rg or rc:
         raise NonIntegralResult(
-            f"genus or cusp count non-integral at d={d}: {genus}, {cusps}"
+            f"genus or cusp count non-integral at d={d}: "
+            f"{Fraction((d - 6) * j + 24, 24)}, {Fraction(12 * j, 24)}"
         )
-    return ModularCurveData(d=d, delta=dl, genus=int(genus), cusps=int(cusps))
+    return ModularCurveData(d=d, delta=Fraction(j, 24), genus=genus, cusps=cusps)
 
 
 def gamma_d_contains(m: IntMatrix, d: int) -> bool:

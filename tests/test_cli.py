@@ -147,6 +147,45 @@ def test_range_wider_than_cap_is_refused(capsys, argv):
     assert err.startswith("usage error:") and "at most 10000" in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["check", "--d-range", "5:3"],
+        ["invariants", "table", "--g", "2", "--d-range", "5:3"],
+    ],
+)
+def test_empty_range_is_refused(capsys, argv):
+    """hi < lo is one usage error for both subcommands that take a range."""
+    code, out, err = run_cli(capsys, argv)
+    assert code == 2 and out == ""
+    assert err.startswith("usage error:") and "5:3" in err
+
+
+def test_check_names_the_failing_identity(capsys, monkeypatch):
+    import fibsurf.invariants as invariants
+
+    original = invariants._identities
+
+    def broken(*args):
+        return tuple(
+            (name, lhs + 1 if name == "h_derivation" else lhs, rhs)
+            for name, lhs, rhs in original(*args)
+        )
+
+    monkeypatch.setattr(invariants, "_identities", broken)
+    code, out, _ = run_cli(capsys, ["check", "--d-range", "3:5"])
+    assert code == 1
+    results = json.loads(out)["results"]
+    assert [name for name, ok in results.items() if not ok] == ["h_derivation"]
+
+    code, out, err = run_cli(capsys, ["invariants", "--g", "3", "--d", "5"])
+    assert code == 1 and out == ""
+    payload = json.loads(err)
+    assert set(payload) == {"error", "message"}
+    assert payload["error"] == "IdentityViolation"
+    assert "h_derivation" in payload["message"] and "d=5" in payload["message"]
+
+
 # ------------------------------------------------------------ adapted-basis
 
 

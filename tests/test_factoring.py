@@ -157,6 +157,69 @@ def test_large_levels_are_fast(d):
     assert elapsed < 1.0, f"modular_data({d}) took {elapsed:.3f} s"
 
 
+LARGE_P = 1800000000047  # prime; p^2 is just below psi_13
+
+
+@st.composite
+def powerful_levels(draw):
+    """p^k, or p^2 * q, with primes p, q > 97 and the product below psi_13."""
+    p = draw(st.integers(98, 10**6).map(sympy.nextprime))
+    if draw(st.booleans()):
+        k = draw(st.integers(2, 12))
+        while p**k >= PSI_13:
+            k -= 1
+        return p**k
+    q = sympy.nextprime(draw(st.integers(98, 10**9)))
+    return p * p * q
+
+
+@settings(max_examples=100, deadline=None)
+@given(powerful_levels())
+def test_powerful_levels_match_sympy(n):
+    assert _prime_factors(n) == expected_factors(n)
+
+
+def _count_rho(monkeypatch) -> list:
+    calls = []
+    original = fibsurf.modular._rho_divisor
+
+    def counting(n):
+        calls.append(n)
+        return original(n)
+
+    monkeypatch.setattr(fibsurf.modular, "_rho_divisor", counting)
+    return calls
+
+
+@pytest.mark.parametrize(
+    "n",
+    [LARGE_P**2, 1000003**3, 101**12, 10007**2 * 97**2],
+    ids=["p^2", "p^3", "p^12", "p^2*small^2"],
+)
+def test_prime_powers_never_reach_rho(monkeypatch, n):
+    calls = _count_rho(monkeypatch)
+    assert _prime_factors(n) == expected_factors(n)
+    assert calls == []
+
+
+@pytest.mark.parametrize("p, q", [(101, 103), (10007, 1000003), (1000003, 10007), (999983, 999979)])
+def test_square_times_prime_runs_rho_once(monkeypatch, p, q):
+    """Finding a square factor of p^2*q is as hard as factoring it, so rho
+    runs once, on p^2*q itself; whatever divisor it returns, the square left
+    over is settled by the root test and never reaches rho."""
+    calls = _count_rho(monkeypatch)
+    assert _prime_factors(p * p * q) == sorted({p, q})
+    assert calls == [p * p * q]
+
+
+def test_square_of_large_prime_is_fast():
+    start = time.perf_counter()
+    value = delta(LARGE_P**2)
+    elapsed = time.perf_counter() - start
+    assert value == expected_delta(LARGE_P**2)
+    assert elapsed < 0.1, f"delta(p^2) took {elapsed:.3f} s"
+
+
 def test_one_factorization_per_public_call(monkeypatch):
     calls = []
     original = fibsurf.modular._prime_factors
@@ -167,11 +230,11 @@ def test_one_factorization_per_public_call(monkeypatch):
 
     monkeypatch.setattr(fibsurf.modular, "_prime_factors", counting)
     d = 10**9 + 7
-    for fn, expected in (
-        (invariants_g2, 1),
-        (invariants_g3, 1),
-        (lambda d: run_identity_checks(d, d), 3),
-    ):
+    for fn in (invariants_g2, invariants_g3, lambda d: run_identity_checks(d, d)):
         calls.clear()
         fn(d)
-        assert calls == [d] * expected
+        assert calls == [d]
+    # the three public calls of one operation of the levels benchmark
+    calls.clear()
+    invariants_g2(d), invariants_g3(d), run_identity_checks(d, d)
+    assert calls == [d] * 3

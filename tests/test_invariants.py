@@ -6,12 +6,14 @@ from fractions import Fraction
 
 import pytest
 
+import fibsurf.invariants as invariants
 from fibsurf import (
     ELLIPTIC_WITH_NODE,
     GENUS2_PLUS_RATIONAL_TWO_NODES,
     GENUS2_WITH_NODE,
     TWO_ELLIPTIC_ONE_NODE,
     DegenerateSlope,
+    IdentityViolation,
     InfeasibleCover,
     InvalidArgument,
     LevelTooSmall,
@@ -112,6 +114,65 @@ def test_run_identity_checks_argument_validation():
         run_identity_checks(d_lo=2)
     with pytest.raises(InvalidArgument):
         run_identity_checks(d_lo=5, d_hi=4)
+
+
+def test_identity_table_names_are_the_reported_names():
+    """The table's names, in order of first appearance, are the names that
+    run_identity_checks reports after tables_construct."""
+    _, gx, t, g2, g3 = invariants._fields(7)
+    names = list(dict.fromkeys(name for name, _, _ in invariants._identities(7, gx, t, g2, g3)))
+    assert ["tables_construct", *names] == [name for name, _ in run_identity_checks(7, 7)]
+
+
+def test_tables_are_ints_and_delta_a_fraction():
+    for d in (3, 4, 12, 97, 10**9 + 7):
+        for inv in (invariants_g2(d), invariants_g3(d)):
+            assert type(inv.delta) is Fraction and inv.delta == delta(d)
+            for field in ("base_genus", "s", "c2", "chi", "K2", "tau", "H", "lambda_", "delta0"):
+                value = getattr(inv, field)
+                assert value is None or type(value) is int, (d, field)
+
+
+def _break(monkeypatch, target: str):
+    """Make the left side of every table entry named ``target`` wrong by 1."""
+    original = invariants._identities
+
+    def broken(*args):
+        return tuple(
+            (name, lhs + 1 if name == target else lhs, rhs)
+            for name, lhs, rhs in original(*args)
+        )
+
+    monkeypatch.setattr(invariants, "_identities", broken)
+    return original
+
+
+@pytest.mark.parametrize("target", ["noether_g3", "riemann_hurwitz", "euler_fibre_sum"])
+def test_failed_identity_is_named_with_both_sides(monkeypatch, target):
+    original = _break(monkeypatch, target)
+    with pytest.raises(IdentityViolation) as info:
+        invariants_g3(7)
+    exc = info.value
+    _, gx, t, g2, g3 = invariants._fields(7)
+    lhs, rhs = next((l, r) for n, l, r in original(7, gx, t, g2, g3) if n == target)
+    assert (exc.identity, exc.d, exc.lhs, exc.rhs) == (target, 7, lhs + 1, rhs)
+    assert target in str(exc) and "d=7" in str(exc)
+    assert f"{lhs + 1} != {rhs}" in str(exc)
+
+    results = dict(run_identity_checks(3, 9))
+    assert results["tables_construct"] is True
+    assert [name for name, ok in results.items() if not ok] == [target]
+
+
+def test_non_integral_field_fails_tables_construct(monkeypatch):
+    # s = (5d - 5) * Delta_d is no integer at d = 3, where J_2(3) = 8
+    monkeypatch.setattr(invariants, "_G2_FIELDS", (("s", 5, -5),) + invariants._G2_FIELDS[1:])
+    with pytest.raises(IdentityViolation, match="24 divides 24\\*s") as info:
+        invariants_g2(3)
+    assert (info.value.identity, info.value.d, info.value.lhs, info.value.rhs) == (
+        "24 divides 24*s", 3, 80 % 24, 0)
+    results = dict(run_identity_checks(3, 9))
+    assert results["tables_construct"] is False
 
 
 # ------------------------------------------------------------- derived maps
