@@ -61,7 +61,9 @@ from .errors import (
     NonIntegralResult,
     UnsupportedCusp,
 )
-from .intlinalg import IntMatrix
+
+# IntMatrix (in annotations) is imported from .intlinalg only where a matrix
+# is built, so that the level arithmetic never loads the exact core.
 
 CUSP_ZERO = "0"
 CUSP_ONE = "1"
@@ -70,10 +72,23 @@ CUSP_INF = "inf"
 REGULAR = "Regular"
 IRREGULAR = "Irregular"
 
-#: Stabilizer generators of the cusp at infinity inside Gamma(2), regular
-#: and irregular flavour.
-REGULAR_STABILIZER = IntMatrix([[1, 2], [0, 1]])
-IRREGULAR_STABILIZER = IntMatrix([[-1, 2], [0, -1]])
+
+def _stabilizer(variant: str) -> IntMatrix:
+    """Stabilizer generator of the cusp at infinity inside Gamma(2), of the
+    regular or irregular flavour."""
+    from .intlinalg import IntMatrix
+
+    sign = 1 if variant == REGULAR else -1
+    return IntMatrix([[sign, 2], [0, sign]])
+
+
+def __getattr__(name: str):
+    # REGULAR_STABILIZER and IRREGULAR_STABILIZER are built on access (PEP 562)
+    if name == "REGULAR_STABILIZER":
+        return _stabilizer(REGULAR)
+    if name == "IRREGULAR_STABILIZER":
+        return _stabilizer(IRREGULAR)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 @dataclass(frozen=True)
@@ -335,6 +350,5 @@ def cusp_case(s, cusp="inf") -> CuspRegularityCase:
     _section_signs(cusps)  # validates admissibility
     if normalize_cusp(cusp) != CUSP_INF:
         raise UnsupportedCusp("only the cusp at infinity is supported")
-    if CUSP_INF in cusps:
-        return CuspRegularityCase(IRREGULAR, IRREGULAR_STABILIZER)
-    return CuspRegularityCase(REGULAR, REGULAR_STABILIZER)
+    variant = IRREGULAR if CUSP_INF in cusps else REGULAR
+    return CuspRegularityCase(variant, _stabilizer(variant))

@@ -36,7 +36,12 @@ def test_import_loads_no_submodule():
 def test_invariants_load_only_the_levels_layer():
     loaded = _loaded("import sys, fibsurf\nfibsurf.invariants_g2(5)")
     assert {"fibsurf.invariants", "fibsurf.modular"} <= loaded
-    assert not loaded & {"fibsurf.adapted", "fibsurf.periods", "fibsurf.lattice_core"}
+    assert not loaded & {
+        "fibsurf.adapted",
+        "fibsurf.periods",
+        "fibsurf.lattice_core",
+        "fibsurf.intlinalg",
+    }
 
 
 def test_cli_modular_loads_only_what_it_uses():
