@@ -164,15 +164,15 @@ def _rho_divisor(n: int) -> int:
 
 
 def _perfect_root(m: int) -> int:
-    """The least r with r^k = m for some k >= 2, or m itself when m is no
-    perfect power; for m whose prime factors all exceed 97, so k <= 11 below
-    PSI_13.  The float k-th root is exact to well under 1/2 there."""
+    """r with r^k = m for a prime k, or m itself when m is no perfect power;
+    for m < PSI_13 whose prime factors all exceed 97, so that k <= 11.  The
+    float k-th root is within far less than 1/2 of the exact one there."""
     for k in (2, 3, 5, 7, 11):
         if 101**k > m:
             break
         r = isqrt(m) if k == 2 else round(m ** (1.0 / k))
         if r**k == m:
-            return _perfect_root(r)
+            return r
     return m
 
 

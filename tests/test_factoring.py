@@ -1,6 +1,7 @@
 """Factoring levels: trial division by small primes, deterministic
-Miller-Rabin and Pollard-Brent rho, checked against sympy; the psi_13 domain
-bound; and one factorization per public call in ``invariants``."""
+Miller-Rabin, the perfect-power test and Pollard-Brent rho, checked against
+sympy; the psi_13 domain bound; and one factorization per public call in
+``invariants``."""
 
 import json
 import time
