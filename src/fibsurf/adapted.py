@@ -16,17 +16,19 @@ construction below mirrors the existence proof, made fully explicit:
 1.  symplectic normal forms of U_A and U_E (W = U_A + U_E, type
     (1,...,1,d,d) with elementary-divisor product d^2, matrix determinant
     d^4), written in the coordinates of U (the columns of the matrix U);
-2.  Smith normal form of the inclusion W -> U; the quotient must be
-    (Z/d)^2, generated by two vectors v_1, v_2, and the same factorisation
-    splits every d*v below into its U_A and U_E parts;
+2.  Smith normal form S W T = D of the inclusion W -> U; the quotient must
+    be (Z/d)^2, generated by two columns v_1, v_2 of S^-1.  Steps 2-4 carry
+    each vector v of U as the coordinates of d*v in the basis of W, read off
+    T for v_1, v_2, so that no d*v needs a solve to split into its U_A and
+    U_E parts;
 3.  re-choose v_1, v_2 so that the U_E-components of d*v_1, d*v_2 are
     exactly a symplectic pair (x, y) of U_E — possible precisely when the
     quotient projects isomorphically onto the discriminant group of U_E;
 4.  translate v_2 by an element of U_A to force (a', a) = d, where
     d*v_1 = a + x and d*v_2 = a' + y;
 5.  split off the rank-(2g-4) orthogonal complement of (a, a') inside U_A
-    by an integral projection, computed in the coordinates of U like steps
-    2-4; the complement's basis is taken in ambient coordinates.
+    by an integral projection, computed in the coordinates of U; the
+    complement's basis is taken in ambient coordinates.
 
 Basis changes: for M in SL_2(Z) acting on the pair (u_g, u_{2g}), the
 transformed tuple is again adapted iff M is congruent to the identity mod
@@ -42,6 +44,7 @@ from functools import cached_property
 from math import gcd
 
 from .errors import (
+    Degenerate,
     DimensionMismatch,
     InvariantViolation,
     NotUnimodular,
@@ -56,7 +59,6 @@ from .intlinalg import (
     gram_in_basis,
     mat_vec,
     pairing,
-    rank,
     solve_integer,
     xgcd,
 )
@@ -75,11 +77,6 @@ Vector = tuple[int, ...]
 def _column_matrix(cols) -> IntMatrix:
     """Trusted matrix whose columns are the given int vectors."""
     return IntMatrix._of(tuple(zip(*cols)))
-
-
-def _side_by_side(a: IntMatrix, b: IntMatrix) -> IntMatrix:
-    """The columns of a followed by those of b (equal row counts)."""
-    return IntMatrix._of(tuple(ra + rb for ra, rb in zip(a.entries(), b.entries())))
 
 
 @dataclass(frozen=True)
@@ -231,23 +228,29 @@ def _validate_problem(p: AdaptedBasisProblem) -> tuple[IntMatrix, IntMatrix, Int
     in_e = p.factored_U.solve(p.U_E)
     if in_e is None:
         raise InvariantViolation("U_E is not contained in U")
-    if rank(_side_by_side(p.U_A, p.U_E)) != 2 * g:
-        raise InvariantViolation("U_A and U_E intersect nontrivially")
     gram_u = gram_in_basis(p.form.gram, p.U)
     # alternating, so det = Pf^2 = (d_1 * ... * d_g)^2: principal iff det = 1
     if gram_u.det() != 1:
         raise InvariantViolation("form restricted to U is not principal")
-    basis_a, type_a = frobenius_basis(AlternatingForm(gram_in_basis(p.form.gram, p.U_A)))
-    if type_a != coprincipal_type(g - 1, d):
-        raise InvariantViolation(
-            f"form restricted to U_A is not of type {coprincipal_type(g - 1, d).divisors}"
-        )
-    basis_e, type_e = frobenius_basis(AlternatingForm(gram_in_basis(p.form.gram, p.U_E)))
-    if type_e != coprincipal_type(1, d):
-        raise InvariantViolation(f"form restricted to U_E is not of type ({d},)")
+    basis_a = _symplectic_basis(p.form.gram, p.U_A, "U_A", coprincipal_type(g - 1, d))
+    basis_e = _symplectic_basis(p.form.gram, p.U_E, "U_E", coprincipal_type(1, d))
+    # with both forms nondegenerate this also makes U_A and U_E meet
+    # trivially: a common vector pairs to zero with all of U_A
     if not (p.U_A.transpose() * p.form.gram * p.U_E).is_zero():
         raise InvariantViolation("U_A and U_E are not orthogonal")
     return in_a * basis_a, in_e * basis_e, gram_u
+
+
+def _symplectic_basis(gram: IntMatrix, m: IntMatrix, name: str, want) -> IntMatrix:
+    """Symplectic normal-form basis of the form on the columns of m, whose
+    type must be ``want`` (a degenerate form is an invalid input too)."""
+    try:
+        basis, found = frobenius_basis(AlternatingForm(gram_in_basis(gram, m)))
+    except Degenerate:
+        found = None
+    if found != want:
+        raise InvariantViolation(f"form restricted to {name} is not of type {want.divisors}")
+    return basis
 
 
 def _coprime_congruent_pair(alpha: int, beta: int, d: int) -> tuple[int, int]:
@@ -290,37 +293,41 @@ def _divided(v: Vector, d: int) -> Vector:
 def construct_adapted_basis(p: AdaptedBasisProblem) -> AdaptedBasis:
     """Produce an adapted basis for a valid problem (see module docstring).
 
-    Vectors stay in U-coordinates and map through U once at the end; pairings
-    use gram_u, since (Ua, Ub)_G = (a, b)_gram_u."""
+    A vector v of U is carried as c(v), the coordinates of d*v in the basis
+    (e_1..e_{g-1}, f_1..f_{g-1}, x, y) of W = U_A + U_E: its first 2g-2
+    entries are the U_A-part of d*v and its last two the U_E-part.  Pairings
+    are c(v)^T gram_w c(v') / d^2.  Vectors leave the frame once, at the
+    end, through W and then U."""
     # symplectic normal forms of the two sublattices
     basis_a, basis_e, gram_u = _validate_problem(p)
     g, d = p.g, p.d
+    n_a = 2 * g - 2
     cols_a = basis_a.columns()  # e_1..e_{g-1}, f_1..f_{g-1}
-    x, y = basis_e.columns()  # (x, y) = d
+    x = basis_e.column(0)  # (x, y) = d
 
-    # quotient U / (U_A + U_E) via the Smith form of the inclusion; every
-    # split() below solves against the same factorisation
-    w = Factored(_side_by_side(basis_a, basis_e))
-    expected = (1,) * (2 * g - 2) + (d, d)
+    # quotient U / W via the Smith form S W T = D of the inclusion
+    w = Factored(_column_matrix(cols_a + basis_e.columns()))
+    expected = (1,) * n_a + (d, d)
     if w.diag != expected:
         raise QuotientNotBicyclic(
             f"U/(U_A + U_E) has invariant factors {w.diag}, expected {expected}"
         )
-    v1 = w.snf.s_inv.column(2 * g - 2)
-    v2 = w.snf.s_inv.column(2 * g - 1)
+    # W T = S^-1 D: the generators v1, v2 are columns 2g-2, 2g-1 of S^-1,
+    # where D is d, so c(v1), c(v2) are the same columns of T
+    c1, c2 = w.snf.t.column(n_a), w.snf.t.column(n_a + 1)
+    gram_w = gram_in_basis(gram_u, w.a)
+    gram_a = gram_w.submatrix(range(n_a), range(n_a))
+    # c(t) = d * (i-th unit vector) for the i-th column t of basis_a
+    c_a = [tuple(d if k == i else 0 for k in range(2 * g)) for i in range(n_a)]
 
-    def split(v: Vector) -> tuple[Vector, Vector, tuple[int, ...]]:
-        """d*v = a + b with a in U_A, b in U_E; returns (a, b, coords)."""
-        c = w.solve(_column_matrix([tuple(d * t for t in v)]))
-        if c is None:
-            raise InvariantViolation("d * v does not lie in U_A + U_E")
-        cv = c.column(0)
-        a = combo(cols_a, cv[: 2 * g - 2])
-        b = combo([x, y], cv[2 * g - 2 :])
-        return a, b, cv
+    def pair(cu: Vector, cv: Vector) -> int:
+        """(u, v) for u, v in U with c(u) = cu, c(v) = cv."""
+        q, r = divmod(pairing(gram_w, cu, cv), d * d)
+        _ensure(r == 0, "pairing of lattice vectors is not integral")
+        return q
 
     # --- step 3: force the U_E-components to be exactly (x, y) -------------
-    (p1, q1), (p2, q2) = (split(v)[2][2 * g - 2 :] for v in (v1, v2))
+    (p1, q1), (p2, q2) = c1[n_a:], c2[n_a:]
     gcd_e, inv_det, _ = xgcd((p1 * q2 - p2 * q1) % d, d)
     if gcd_e != 1:
         raise InvariantViolation(
@@ -328,26 +335,17 @@ def construct_adapted_basis(p: AdaptedBasisProblem) -> AdaptedBasis:
             "onto the discriminant group of U_E"
         )
     # the columns of [[p1, p2], [q1, q2]]^-1 mod d give the new generators
-    v1, v2 = (
-        combo([v1, v2], [inv_det * q2 % d, -inv_det * q1 % d]),
-        combo([v1, v2], [-inv_det * p2 % d, inv_det * p1 % d]),
+    c1, c2 = (
+        combo([c1, c2], [inv_det * q2 % d, -inv_det * q1 % d]),
+        combo([c1, c2], [-inv_det * p2 % d, inv_det * p1 % d]),
     )
-
-    def settle(v: Vector, target_coords: tuple[int, int]) -> Vector:
-        """Translate v by an element of U_E so the E-part of d*v has the
-        coordinates target_coords in (x, y)."""
-        _, _, cv = split(v)
-        cx, cy = cv[2 * g - 2], cv[2 * g - 1]
-        qx, rx = divmod(cx - target_coords[0], d)
-        qy, ry = divmod(cy - target_coords[1], d)
-        _ensure(rx == 0 and ry == 0, "generator change failed mod d")
-        return combo([v, x, y], [1, -qx, -qy])
-
-    v1 = settle(v1, (1, 0))
-    v2 = settle(v2, (0, 1))
-    a1, b1, c1 = split(v1)
-    a2, b2, c2 = split(v2)
-    _ensure(b1 == x and b2 == y, "U_E-components are not (x, y)")
+    # translating v1, v2 by elements of U_E moves the (x, y)-coordinates of
+    # the E-parts of d*v1, d*v2 by multiples of d, onto exactly x and y
+    _ensure(
+        all((c - t) % d == 0 for c, t in zip(c1[n_a:] + c2[n_a:], (1, 0, 0, 1))),
+        "generator change failed mod d",
+    )
+    c1, c2 = c1[:n_a] + (1, 0), c2[:n_a] + (0, 1)
 
     # --- step 4: normalize the U_A-side pairing to (a2, a1) = d ------------
     # (a1, a2) = -d + j*d^2 by integrality of (v1, v2).  Translating v1 by
@@ -355,19 +353,16 @@ def construct_adapted_basis(p: AdaptedBasisProblem) -> AdaptedBasis:
     # and j = 0 is always reachable: for g >= 3 a hyperbolic pair of U_A
     # kills any j exactly, and for g = 2 the coordinate frame of (a2, a1)
     # lifts from SL2(Z/d) to SL2(Z).
-    pa = pairing(gram_u, a1, a2)
+    pa = pairing(gram_a, c1[:n_a], c2[:n_a])
     j, rem = divmod(pa + d, d * d)
     _ensure(rem == 0, "cross pairing inconsistent with an integral lattice")
     if j and g >= 3:
-        e1, f1 = cols_a[0], cols_a[g - 1]  # (e1, f1) = 1
-        k = 1 - pairing(gram_u, v1, f1)
-        t = -j - k * pairing(gram_u, e1, v2)
-        v1 = combo([v1, e1], [1, k])
-        v2 = combo([v2, f1], [1, t])
-        a1, b1, _ = split(v1)
-        a2, b2, _ = split(v2)
-        _ensure(b1 == x and b2 == y, "U_E-components moved during normalization")
-        pa = pairing(gram_u, a1, a2)
+        e1, f1 = c_a[0], c_a[g - 1]  # c(e1), c(f1), with (e1, f1) = 1
+        k = 1 - pair(c1, f1)
+        t = -j - k * pair(e1, c2)
+        c1 = combo([c1, e1], [1, k])
+        c2 = combo([c2, f1], [1, t])
+        pa = pairing(gram_a, c1[:n_a], c2[:n_a])
     elif j:  # g == 2: U_A = <e, f> with (e, f) = d
         (al1, be1), (al2, be2) = c1[:2], c2[:2]  # a_i = al_i * e + be_i * f
         # (a1, a2) = -d + j*d^2 forces al_i, be_i to frame SL2(Z/d); lift
@@ -381,24 +376,18 @@ def construct_adapted_basis(p: AdaptedBasisProblem) -> AdaptedBasis:
             (rs[0] - al1) % d == 0 and (rs[1] - be1) % d == 0,
             "lifted frame is not congruent mod d",
         )
-        a2 = combo(cols_a, list(pq))
-        a1 = combo(cols_a, list(rs))
-        v1 = _divided(combo([a1, x], [1, 1]), d)
-        v2 = _divided(combo([y, a2], [1, 1]), d)
-        pa = pairing(gram_u, a1, a2)
+        c1, c2 = rs + (1, 0), pq + (0, 1)  # d*v1 = a1 + x, d*v2 = a2 + y
+        pa = pairing(gram_a, rs, pq)
     _ensure(pa == -d, "normalization failed to reach (a1, a2) = -d")
+    a1, a2 = (combo(cols_a, c[:n_a]) for c in (c1, c2))
 
     # --- step 5: orthogonal complement of (a1, a2) inside U_A, ambient ------
-    if g == 2:
-        k_e: list[Vector] = []
-        k_f: list[Vector] = []
-    else:
+    k_ambient: list[Vector] = []  # empty for g = 2
+    if g >= 3:
         projected = []
-        for t in cols_a:
+        for t, ct in zip(cols_a, c_a):
             # pi(t) = t + (t, v2)*a1 - (t, v1)*a2 kills pairings with a1, a2
-            ct2 = pairing(gram_u, t, v2)
-            ct1 = pairing(gram_u, t, v1)
-            projected.append(combo([t, a1, a2], [1, ct2, -ct1]))
+            projected.append(combo([t, a1, a2], [1, pair(ct, c2), -pair(ct, c1)]))
         k_cols = column_lattice_basis(p.U * _column_matrix(projected))
         _ensure(len(k_cols) == 2 * g - 4, "complement has unexpected rank")
         k_mat = _column_matrix(k_cols)
@@ -407,10 +396,11 @@ def construct_adapted_basis(p: AdaptedBasisProblem) -> AdaptedBasis:
         )
         _ensure(ptype_k == principal_type(g - 2), "complement is not principal")
         k_ambient = [mat_vec(k_mat, c) for c in basis_k.columns()]
-        k_e, k_f = k_ambient[: g - 2], k_ambient[g - 2 :]
+    k_e, k_f = k_ambient[: g - 2], k_ambient[g - 2 :]
 
-    a2, b1, v1, v2 = (mat_vec(p.U, v) for v in (a2, b1, v1, v2))
-    vectors = tuple(k_e) + (a2, b1) + tuple(k_f) + (v1, v2)
+    v1, v2 = (_divided(mat_vec(w.a, c), d) for c in (c1, c2))
+    a2, x, v1, v2 = (mat_vec(p.U, v) for v in (a2, x, v1, v2))
+    vectors = tuple(k_e) + (a2, x) + tuple(k_f) + (v1, v2)
     result = AdaptedBasis(g=g, d=d, vectors=vectors)
     if not is_adapted_basis(p, result):
         raise PostconditionFailed("construction postcondition failed")

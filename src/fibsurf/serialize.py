@@ -16,7 +16,10 @@ import json
 from fractions import Fraction
 
 from .errors import UsageError
-from .intlinalg import IntMatrix
+
+# IntMatrix (in annotations) is imported from .intlinalg only where a matrix
+# is read or written, so that the CLI's level subcommands never load the
+# exact core.
 
 
 def _field_name(name: str) -> str:
@@ -48,12 +51,6 @@ def to_jsonable(obj):
         return [repr(obj.real), repr(obj.imag)]
     if isinstance(obj, Fraction):
         return str(obj)
-    if isinstance(obj, IntMatrix):
-        return {
-            "rows": obj.rows,
-            "cols": obj.cols,
-            "entries": [[str(v) for v in row] for row in obj.tolists()],
-        }
     if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
         return {
             _field_name(f.name): to_jsonable(getattr(obj, f.name))
@@ -66,6 +63,15 @@ def to_jsonable(obj):
         if isinstance(obj, (frozenset, set)):
             items = sorted(items, key=str)
         return [to_jsonable(v) for v in items]
+    # an IntMatrix exists only once intlinalg is loaded, so this is a lookup
+    from .intlinalg import IntMatrix
+
+    if isinstance(obj, IntMatrix):
+        return {
+            "rows": obj.rows,
+            "cols": obj.cols,
+            "entries": [[str(v) for v in row] for row in obj.tolists()],
+        }
     raise TypeError(f"cannot serialize {type(obj).__name__}")
 
 
@@ -118,9 +124,16 @@ def _to_int(v) -> int:
     raise UsageError(f"matrix entries must be integers, got {v!r}")
 
 
+# the largest matrix side accepted; the slowest matrix subcommand
+# (adapted-basis factoring a dense U with 6-digit entries) takes up to about
+# 1 s at 20x20 and up to 10 s at 24x24
+_MAX_MATRIX_DIM = 20
+
+
 def parse_int_matrix(data) -> IntMatrix:
     """Decode an integer matrix from the JSON encoding (either the
-    {"rows","cols","entries"} object or a bare list of rows)."""
+    {"rows","cols","entries"} object or a bare list of rows), at most
+    _MAX_MATRIX_DIM rows and columns."""
     entries = data.get("entries") if isinstance(data, dict) else data
     if not isinstance(entries, list) or not entries:
         raise UsageError("expected a nonempty matrix")
@@ -128,6 +141,12 @@ def parse_int_matrix(data) -> IntMatrix:
         rows = [[_to_int(v) for v in row] for row in entries]
     except (TypeError, ValueError) as exc:
         raise UsageError(f"malformed integer matrix: {exc}") from exc
+    width = max(map(len, rows))
+    if max(len(rows), width) > _MAX_MATRIX_DIM:
+        raise UsageError(
+            f"matrix of {len(rows)} rows and {width} columns exceeds the cap of "
+            f"{_MAX_MATRIX_DIM} rows and {_MAX_MATRIX_DIM} columns"
+        )
     if isinstance(data, dict):
         want = (data.get("rows"), data.get("cols"))
         have = (len(rows), len(rows[0]))
@@ -138,6 +157,8 @@ def parse_int_matrix(data) -> IntMatrix:
                 raise UsageError(f"malformed matrix shape {want}: {exc}") from exc
             if shape != have:
                 raise UsageError(f"matrix shape {have} does not match header {want}")
+    from .intlinalg import IntMatrix
+
     return IntMatrix(rows)
 
 

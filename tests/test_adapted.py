@@ -160,6 +160,15 @@ def test_validation_rejects_overlapping_sublattices():
     )
     with pytest.raises(InvariantViolation):
         construct_adapted_basis(overlapping)
+    # g = 3: U_E = <eps_1, 3*eps_4> has type (3) and shares eps_1 with U_A;
+    # U_E = <eps_1, eps_2> lies inside U_A and carries the zero form
+    p = canonical_problem(3, 3)
+    for ue in ([(1, 0, 0, 0, 0, 0), (0, 0, 0, 3, 0, 0)], p.U_A.columns()[:2]):
+        overlapping = AdaptedBasisProblem(
+            g=p.g, d=p.d, U=p.U, form=p.form, U_A=p.U_A, U_E=IntMatrix.from_columns(ue)
+        )
+        with pytest.raises(InvariantViolation):
+            construct_adapted_basis(overlapping)
 
 
 def test_validation_rejects_vectors_outside_u():

@@ -484,6 +484,47 @@ def test_distinguish_needs_both_or_neither(capsys):
     assert code == 2 and err.startswith("usage error:")
 
 
+# --------------------------------------------------------- matrix size cap
+
+
+def _standard_gram(n: int) -> list[list[int]]:
+    """The standard principal alternating form on Z^n (n even)."""
+    h = n // 2
+    return [[(j == i + h) - (i == j + h) for j in range(n)] for i in range(n)]
+
+
+def _identity(n: int) -> list[list[int]]:
+    return [[int(i == j) for j in range(n)] for i in range(n)]
+
+
+def test_polarization_accepts_the_cap_and_refuses_beyond(capsys):
+    code, out, _ = run_cli(capsys, ["polarization", "--gram", json.dumps(_standard_gram(20))])
+    assert code == 0 and json.loads(out)["type"] == ["1"] * 10
+    code, out, err = run_cli(capsys, ["polarization", "--gram", json.dumps(_standard_gram(22))])
+    assert code == 2 and out == ""
+    assert err.startswith("usage error:") and "cap of 20 rows and 20 columns" in err
+
+
+def test_distinguish_refuses_oversized_matrices(capsys):
+    big = json.dumps(_identity(22))
+    code, out, err = run_cli(capsys, ["distinguish", "--a", big, "--b", big])
+    assert code == 2 and out == ""
+    assert "cap of 20 rows and 20 columns" in err
+
+
+def test_adapted_basis_refuses_oversized_matrices(tmp_path, capsys):
+    """A 22-row ambient space (g = 11) is refused before any factoring; so
+    is a wide header-less row."""
+    big = dict(PROBLEM_G2_D3, g=11, U=_identity(22), gram=_standard_gram(22))
+    wide = dict(PROBLEM_G2_D3, U_A=[[1] * 21])
+    for problem in (big, wide):
+        path = tmp_path / "big.json"
+        path.write_text(json.dumps(problem))
+        code, out, err = run_cli(capsys, ["adapted-basis", "--input", str(path)])
+        assert code == 2 and out == ""
+        assert "cap of 20 rows and 20 columns" in err
+
+
 # ----------------------------------------------------------- shell contract
 
 

@@ -77,3 +77,18 @@ def test_public_names_resolve():
 def test_unknown_name_is_an_attribute_error():
     with pytest.raises(AttributeError, match="no_such_name"):
         fibsurf.no_such_name
+
+
+@pytest.mark.parametrize(
+    "argv, needed",
+    [
+        (("modular", "--d", "7"), "fibsurf.modular"),
+        (("check", "--d-range", "3:5"), "fibsurf.invariants"),
+    ],
+)
+def test_level_subcommands_do_not_load_the_exact_core(argv, needed):
+    """Reading and writing JSON needs ``intlinalg`` only for matrices."""
+    proc = _run("-X", "importtime", "-m", "fibsurf.cli", *argv)
+    loaded = {line.rsplit("|", 1)[-1].strip() for line in proc.stderr.splitlines()}
+    assert needed in loaded
+    assert not loaded & {"fibsurf.intlinalg", "fibsurf.lattice_core"}
