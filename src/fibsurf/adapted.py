@@ -46,6 +46,7 @@ from math import gcd
 from .errors import (
     Degenerate,
     DimensionMismatch,
+    InvalidArgument,
     InvariantViolation,
     NotUnimodular,
     PostconditionFailed,
@@ -83,10 +84,10 @@ def _column_matrix(cols) -> IntMatrix:
 class AdaptedBasisProblem:
     """Input data: ambient form plus column-generator matrices for U, U_A, U_E.
 
-    The Smith forms of U, U_A and U_E are computed on first use and kept
-    with the problem, so validation, construction and every verification
-    against the same problem share them.  They are not fields: equality and
-    hashing see only the declared data.
+    The Smith form of U is computed on first use and kept with the problem,
+    so validation, construction and every verification share it; U_A and
+    U_E need none.  It is not a field: equality and hashing see only the
+    declared data.
     """
 
     g: int
@@ -99,14 +100,6 @@ class AdaptedBasisProblem:
     @cached_property
     def factored_U(self) -> Factored:
         return Factored(self.U)
-
-    @cached_property
-    def factored_U_A(self) -> Factored:
-        return Factored(self.U_A)
-
-    @cached_property
-    def factored_U_E(self) -> Factored:
-        return Factored(self.U_E)
 
 
 class _NotAdapted:
@@ -142,8 +135,10 @@ class AdaptedBasis:
                 f"expected {2 * self.g} vectors, got {len(self.vectors)}"
             )
         n = len(self.vectors[0])
-        if any(len(v) != n for v in self.vectors):
-            raise DimensionMismatch("ambient dimensions differ between vectors")
+        if n == 0 or any(len(v) != n for v in self.vectors):
+            raise DimensionMismatch("ambient dimensions differ between vectors or are 0")
+        if any(type(c) is not int for v in self.vectors for c in v):
+            raise InvalidArgument("adapted basis vectors must have int entries")
 
     def u(self, i: int) -> Vector:
         """The section u_i, 1 <= i <= 2g+2 (derived vectors computed)."""
@@ -161,14 +156,11 @@ class AdaptedBasis:
         raise DimensionMismatch(f"section index {i} out of range")
 
     def listed_matrix(self) -> IntMatrix:
-        return IntMatrix.from_columns(self.vectors)
+        return _column_matrix(self.vectors)
 
     def u_a_part(self) -> list[Vector]:
         """u_1..u_{g-1}, u_{g+1}..u_{2g-1} — the symplectic basis of U_A."""
-        g = self.g
-        return [self.u(i) for i in range(1, g)] + [
-            self.u(i) for i in range(g + 1, 2 * g)
-        ]
+        return [self.u(i) for i in range(1, 2 * self.g) if i != self.g]
 
     def u_e_part(self) -> tuple[Vector, Vector]:
         """u_g, u_{2g} — the symplectic basis of U_E."""
@@ -413,30 +405,36 @@ def is_adapted_basis(p: AdaptedBasisProblem, b: AdaptedBasis) -> bool:
         raise DimensionMismatch("basis and problem disagree on (g, d)")
     if len(b.vectors[0]) != p.form.dim:
         raise DimensionMismatch("basis vectors live in the wrong ambient space")
-    g, d = p.g, p.d
-
     # (1) the listed vectors are a Z-basis of U
     coords = p.factored_U.solve(b.listed_matrix())
     if coords is None or coords.det() not in (1, -1):
         return False
-
     # (2) u_1..u_{g-1}, u_{g+1}..u_{2g-1} is a symplectic basis of U_A of
-    #     type (1, ..., 1, d)
-    part_a = IntMatrix.from_columns(b.u_a_part())
-    coords_a = p.factored_U_A.solve(part_a)
-    if coords_a is None or coords_a.det() not in (1, -1):
-        return False
-    if gram_in_basis(p.form.gram, part_a) != block_normal_gram(coprincipal_type(g - 1, d)):
-        return False
+    #     type (1, ..., 1, d); (3) u_g, u_{2g} is one of U_E of type (d)
+    gram, d = p.form.gram, p.d
+    return _is_normal_basis_of(gram, b.u_a_part(), coprincipal_type(p.g - 1, d), p.U_A) and (
+        _is_normal_basis_of(gram, b.u_e_part(), coprincipal_type(1, d), p.U_E)
+    )
 
-    # (3) u_g, u_{2g} is a symplectic basis of U_E of type (d)
-    part_e = IntMatrix.from_columns(list(b.u_e_part()))
-    coords_e = p.factored_U_E.solve(part_e)
-    if coords_e is None or coords_e.det() not in (1, -1):
+
+def _is_normal_basis_of(gram: IntMatrix, part, ptype, gens: IntMatrix) -> bool:
+    """Whether ``part`` is a symplectic basis of type ``ptype`` of the span
+    of the columns of ``gens``: its Gram matrix is N = [[0, D], [-D, 0]], and
+    as N is nondegenerate the spans agree iff gens = part * X, X unimodular,
+    with X = N^-1 (part, gens): -(f_i, y)/d_i on e_i, (e_i, y)/d_i on f_i."""
+    if gens.cols != len(part):
+        raise DimensionMismatch(f"{gens.cols} generators for a rank-{len(part)} part")
+    m = _column_matrix(part)
+    left = m.transpose() * gram
+    pairs = (left * gens).entries()  # raises first if gens is in another space
+    if left * m != block_normal_gram(ptype):
         return False
-    if gram_in_basis(p.form.gram, part_e) != IntMatrix([[0, d], [-d, 0]]):
-        return False
-    return True
+    divs = ptype.divisors
+    rows = [tuple(-v // d_i for v in r) for r, d_i in zip(pairs[len(divs) :], divs)]
+    rows += [tuple(v // d_i for v in r) for r, d_i in zip(pairs, divs)]
+    x = IntMatrix._of(tuple(rows))
+    # gens = part * X makes (part, gens) = N * X, so every division was exact
+    return m * x == gens and x.det() in (1, -1)
 
 
 def change_basis(

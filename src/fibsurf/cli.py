@@ -13,32 +13,18 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import fields
 
 from .errors import DomainError, NotCoprincipal, UsageError
 from .serialize import (
     complex_matrix_jsonable,
     encode_json,
+    field_name,
     parse_complex_matrix,
     parse_complex_pair,
     parse_int_matrix,
+    read_int,
     tsv_table,
-)
-
-_INVARIANT_COLUMNS = (
-    "g",
-    "d",
-    "delta",
-    "base_genus",
-    "s",
-    "c2",
-    "chi",
-    "K2",
-    "tau",
-    "H",
-    "lambda",
-    "delta0",
-    "delta1",
-    "general_type",
 )
 
 
@@ -134,38 +120,6 @@ def _parse_range(text: str) -> tuple[int, int]:
     return lo, hi
 
 
-def _int_field(data: dict, key: str) -> int:
-    """An integer field of a problem file: a JSON integer or a decimal string."""
-    value = data[key]
-    if isinstance(value, int) and not isinstance(value, bool):
-        return value
-    if isinstance(value, str):
-        try:
-            return int(value, 10)
-        except ValueError:
-            pass
-    raise UsageError(f"problem field {key!r} must be an integer, got {value!r}")
-
-
-def _invariant_row(inv) -> tuple:
-    return (
-        inv.g,
-        inv.d,
-        inv.delta,
-        inv.base_genus,
-        inv.s,
-        inv.c2,
-        inv.chi,
-        inv.K2,
-        inv.tau,
-        inv.H,
-        inv.lambda_,
-        inv.delta0,
-        inv.delta1,
-        inv.general_type,
-    )
-
-
 def _cmd_modular(args) -> tuple[str, int]:
     from .modular import modular_data
 
@@ -177,7 +131,7 @@ def _cmd_modular(args) -> tuple[str, int]:
 
 
 def _cmd_invariants(args) -> tuple[str, int]:
-    from .invariants import invariants_g2, invariants_g3
+    from .invariants import SurfaceInvariants, invariants_g2, invariants_g3
 
     table = invariants_g2 if args.g == 2 else invariants_g3
     if args.mode == "table":
@@ -185,15 +139,15 @@ def _cmd_invariants(args) -> tuple[str, int]:
             raise UsageError("table mode needs --d-range lo:hi")
         lo, hi = _parse_range(args.d_range)
         invs = [table(d) for d in range(lo, hi + 1)]
-        if args.format == "json":
-            return encode_json(invs), 0
-        return tsv_table(_INVARIANT_COLUMNS, [_invariant_row(i) for i in invs]), 0
-    if args.d is None:
+    elif args.d is None:
         raise UsageError("--d is required (or use the 'table' mode)")
-    inv = table(args.d)
+    else:
+        invs = [table(args.d)]
     if args.format == "json":
-        return encode_json(inv), 0
-    return tsv_table(_INVARIANT_COLUMNS, [_invariant_row(inv)]), 0
+        return encode_json(invs if args.mode == "table" else invs[0]), 0
+    names = [f.name for f in fields(SurfaceInvariants)]
+    rows = [[getattr(inv, name) for name in names] for inv in invs]
+    return tsv_table([field_name(name) for name in names], rows), 0
 
 
 def _cmd_check(args) -> tuple[str, int]:
@@ -233,8 +187,8 @@ def _cmd_adapted_basis(args) -> tuple[str, int]:
     if missing or gram is None:
         raise UsageError(f"problem file lacks fields: {missing + ['gram'] if gram is None else missing}")
     problem = AdaptedBasisProblem(
-        g=_int_field(data, "g"),
-        d=_int_field(data, "d"),
+        g=read_int(data["g"], "problem field 'g'"),
+        d=read_int(data["d"], "problem field 'd'"),
         U=parse_int_matrix(data["U"]),
         form=AlternatingForm(parse_int_matrix(gram)),
         U_A=parse_int_matrix(data["U_A"]),

@@ -22,7 +22,8 @@ from .errors import UsageError
 # exact core.
 
 
-def _field_name(name: str) -> str:
+def field_name(name: str) -> str:
+    """The JSON key or TSV column of a dataclass field (``lambda_`` -> "lambda")."""
     return name[:-1] if name.endswith("_") else name
 
 
@@ -53,7 +54,7 @@ def to_jsonable(obj):
         return str(obj)
     if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
         return {
-            _field_name(f.name): to_jsonable(getattr(obj, f.name))
+            field_name(f.name): to_jsonable(getattr(obj, f.name))
             for f in dataclasses.fields(obj)
         }
     if isinstance(obj, dict):
@@ -114,32 +115,39 @@ def tsv_table(header, rows) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _to_int(v) -> int:
-    if isinstance(v, bool):
-        raise UsageError("matrix entries must be integers")
-    if isinstance(v, int):
+def read_int(v, what: str) -> int:
+    """A JSON integer or a decimal string, never a bool; anything else is a
+    UsageError naming ``what``."""
+    if isinstance(v, int) and not isinstance(v, bool):
         return v
     if isinstance(v, str):
-        return int(v, 10)
-    raise UsageError(f"matrix entries must be integers, got {v!r}")
+        try:
+            return int(v, 10)
+        except ValueError:
+            pass
+    raise UsageError(f"{what} must be an integer, got {v!r}")
 
 
-# the largest matrix side accepted; the slowest matrix subcommand
-# (adapted-basis factoring a dense U with 6-digit entries) takes up to about
-# 1 s at 20x20 and up to 10 s at 24x24
+# the largest matrix side and entry size accepted.  At 20x20 the slowest
+# matrix subcommands (adapted-basis factoring a dense U, distinguish on
+# symplectic matrices) took at most 1.0 s with 6-digit entries over 12 seeds
+# (one 5-digit input took 3 s), 4.6 s with 7 digits and 9.3 s with 9; at
+# 24x24 with 6-digit entries they took up to 10 s
 _MAX_MATRIX_DIM = 20
+_MAX_ENTRY_DIGITS = 6
 
 
 def parse_int_matrix(data) -> IntMatrix:
     """Decode an integer matrix from the JSON encoding (either the
     {"rows","cols","entries"} object or a bare list of rows), at most
-    _MAX_MATRIX_DIM rows and columns."""
+    _MAX_MATRIX_DIM rows and columns of entries of at most _MAX_ENTRY_DIGITS
+    decimal digits."""
     entries = data.get("entries") if isinstance(data, dict) else data
     if not isinstance(entries, list) or not entries:
         raise UsageError("expected a nonempty matrix")
     try:
-        rows = [[_to_int(v) for v in row] for row in entries]
-    except (TypeError, ValueError) as exc:
+        rows = [[read_int(v, "matrix entry") for v in row] for row in entries]
+    except TypeError as exc:
         raise UsageError(f"malformed integer matrix: {exc}") from exc
     width = max(map(len, rows))
     if max(len(rows), width) > _MAX_MATRIX_DIM:
@@ -147,6 +155,8 @@ def parse_int_matrix(data) -> IntMatrix:
             f"matrix of {len(rows)} rows and {width} columns exceeds the cap of "
             f"{_MAX_MATRIX_DIM} rows and {_MAX_MATRIX_DIM} columns"
         )
+    if any(abs(v) >= 10**_MAX_ENTRY_DIGITS for row in rows for v in row):
+        raise UsageError(f"matrix entries exceed the cap of {_MAX_ENTRY_DIGITS} decimal digits")
     if isinstance(data, dict):
         want = (data.get("rows"), data.get("cols"))
         have = (len(rows), len(rows[0]))

@@ -9,8 +9,12 @@ from random import Random
 from fibsurf import (
     AdaptedBasisProblem,
     AlternatingForm,
+    DimensionMismatch,
+    Factored,
     IntMatrix,
+    block_normal_gram,
     canonical_problem,
+    coprincipal_type,
     gram_in_basis,
     invert_unimodular,
 )
@@ -135,3 +139,37 @@ def randomized_problem(rng: Random, g: int, d: int) -> AdaptedBasisProblem:
         U_A=r * base.U_A * c_a,
         U_E=r * base.U_E * c_e,
     )
+
+
+def reference_is_adapted_basis(p, b) -> bool:
+    """The earlier Smith-based form of ``is_adapted_basis``, kept as an
+    oracle: each part must solve against a factorisation of its sublattice
+    with a unimodular coordinate matrix, and have the normal Gram matrix."""
+    if b.g != p.g or b.d != p.d:
+        raise DimensionMismatch("basis and problem disagree on (g, d)")
+    if len(b.vectors[0]) != p.form.dim:
+        raise DimensionMismatch("basis vectors live in the wrong ambient space")
+    g, d = p.g, p.d
+
+    # (1) the listed vectors are a Z-basis of U
+    coords = p.factored_U.solve(b.listed_matrix())
+    if coords is None or coords.det() not in (1, -1):
+        return False
+
+    # (2) u_1..u_{g-1}, u_{g+1}..u_{2g-1} is a symplectic basis of U_A of
+    #     type (1, ..., 1, d)
+    part_a = IntMatrix.from_columns(b.u_a_part())
+    coords_a = Factored(p.U_A).solve(part_a)
+    if coords_a is None or coords_a.det() not in (1, -1):
+        return False
+    if gram_in_basis(p.form.gram, part_a) != block_normal_gram(coprincipal_type(g - 1, d)):
+        return False
+
+    # (3) u_g, u_{2g} is a symplectic basis of U_E of type (d)
+    part_e = IntMatrix.from_columns(list(b.u_e_part()))
+    coords_e = Factored(p.U_E).solve(part_e)
+    if coords_e is None or coords_e.det() not in (1, -1):
+        return False
+    if gram_in_basis(p.form.gram, part_e) != IntMatrix([[0, d], [-d, 0]]):
+        return False
+    return True

@@ -1,9 +1,12 @@
 """Construction and transformation of adapted bases."""
 
 import math
+from dataclasses import replace
 from random import Random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fibsurf import (
     NOT_ADAPTED,
@@ -12,19 +15,28 @@ from fibsurf import (
     AlternatingForm,
     DimensionMismatch,
     IntMatrix,
+    InvalidArgument,
     InvariantViolation,
     NotUnimodular,
     QuotientNotBicyclic,
     canonical_problem,
     change_basis,
+    combo,
     construct_adapted_basis,
+    coprincipal_type,
     gamma_d_contains,
     gram_in_basis,
     is_adapted_basis,
     pairing,
     smith_normal_form,
 )
-from helpers import random_gamma_d_element, random_sl2_word, randomized_problem
+from helpers import (
+    random_gamma_d_element,
+    random_sl2_word,
+    random_unimodular,
+    randomized_problem,
+    reference_is_adapted_basis,
+)
 
 SMALL_CASES = [(g, d) for g in (2, 3) for d in (2, 3, 4, 5)]
 
@@ -261,6 +273,110 @@ def test_is_adapted_basis_detects_broken_pairing():
     vectors[0] = tuple(2 * x for x in vectors[0])
     broken = AdaptedBasis(g=2, d=3, vectors=tuple(vectors))
     assert not is_adapted_basis(p, broken)
+
+
+def test_adapted_basis_refuses_non_integer_entries():
+    """A float entry was once truncated by int() and the basis verified."""
+    p = canonical_problem(2, 3)
+    rest = construct_adapted_basis(p).vectors[1:]
+    for first in ((1.9, 0, 0, 0), (True, 0, 0, 0), (1.0, 0, 0, 0)):
+        with pytest.raises(InvalidArgument):
+            AdaptedBasis(g=2, d=3, vectors=(first,) + rest)
+    with pytest.raises(DimensionMismatch):
+        AdaptedBasis(g=2, d=3, vectors=((),) * 4)
+
+
+def _doubled_first(m: IntMatrix) -> IntMatrix:
+    return IntMatrix.from_columns([tuple(2 * x for x in m.column(0))] + m.columns()[1:])
+
+
+def _shifted_first(m: IntMatrix, by: IntMatrix) -> IntMatrix:
+    return IntMatrix.from_columns([combo([m.column(0), by.column(0)], [1, 1])] + m.columns()[1:])
+
+
+def _failing_only(p: AdaptedBasisProblem, k: int, shift: bool) -> AdaptedBasisProblem:
+    """p with one of U, U_A, U_E changed, so that a basis adapted to p fails
+    condition (k) on it and meets the other two, which read only the parts
+    of p that stay unchanged.  U becomes U_A + U_E, of index d^2.  U_A or
+    U_E gets its first generator doubled or, with ``shift``, moved by a
+    generator of the other one: the pairings with the part stay the same,
+    the span does not."""
+    if k == 1:
+        return replace(p, U=IntMatrix.from_columns(p.U_A.columns() + p.U_E.columns()))
+    if k == 2:
+        return replace(p, U_A=_shifted_first(p.U_A, p.U_E) if shift else _doubled_first(p.U_A))
+    return replace(p, U_E=_shifted_first(p.U_E, p.U_A) if shift else _doubled_first(p.U_E))
+
+
+@pytest.mark.parametrize("g, d, seed", [(2, 3, 501), (3, 4, 502), (3, 2, 503)])
+@pytest.mark.parametrize("k, shift", [(1, False), (2, False), (2, True), (3, False), (3, True)])
+def test_basis_failing_one_condition_is_refused(g, d, seed, k, shift):
+    p = randomized_problem(Random(seed), g, d)
+    b = construct_adapted_basis(p)
+    assert is_adapted_basis(p, b) and reference_is_adapted_basis(p, b)
+    q = _failing_only(p, k, shift)
+    assert not reference_is_adapted_basis(q, b)
+    assert not is_adapted_basis(q, b)
+
+
+def test_sublattice_with_a_wrong_generator_count_is_a_dimension_mismatch():
+    """The earlier predicate raised or returned False here, depending on
+    whether a solve happened to succeed."""
+    p = randomized_problem(Random(504), 3, 4)
+    b = construct_adapted_basis(p)
+    extra = p.U_E.columns()[:1]
+    for q in (
+        replace(p, U_A=IntMatrix.from_columns(p.U_A.columns() + extra)),
+        replace(p, U_A=IntMatrix.from_columns(p.U_A.columns()[:-1])),
+        replace(p, U_E=IntMatrix.from_columns(p.U_E.columns() + extra)),
+    ):
+        with pytest.raises(DimensionMismatch):
+            is_adapted_basis(q, b)
+
+
+def test_normal_basis_check_reads_the_gram_matrix():
+    """With pairing 4 instead of d = 3 the floored coordinates are still the
+    identity; only the Gram matrix tells this part from a normal one."""
+    from fibsurf.adapted import _is_normal_basis_of
+
+    part = [(1, 0), (0, 4)]
+    gram = IntMatrix([[0, 1], [-1, 0]])
+    assert not _is_normal_basis_of(gram, part, coprincipal_type(1, 3), IntMatrix.from_columns(part))
+    assert _is_normal_basis_of(gram, part, coprincipal_type(1, 4), IntMatrix.from_columns(part))
+
+
+@st.composite
+def bases_and_problems(draw):
+    """A random problem, an adapted basis of it, and one of: the basis
+    itself, moved by Gamma(d), with its listed vectors remixed, negated or
+    sheared, or the problem changed so that one condition fails."""
+    g, d = draw(st.sampled_from([2, 3])), draw(st.integers(2, 7))
+    rng = Random(draw(st.integers(0, 2**32)))
+    p = randomized_problem(rng, g, d)
+    b = construct_adapted_basis(p)
+    vectors = list(b.vectors)
+    i, j = draw(st.integers(0, 2 * g - 1)), draw(st.integers(0, 2 * g - 1))
+    kind = draw(st.sampled_from(["same", "gamma", "remix", "negate", "shear", "problem", "off_span"]))
+    if kind == "gamma":
+        return p, change_basis(b, random_gamma_d_element(rng, d), d)
+    if kind == "remix":
+        vectors = (IntMatrix.from_columns(vectors) * random_unimodular(rng, 2 * g, steps=3)).columns()
+    elif kind == "negate":
+        vectors[i] = tuple(-x for x in vectors[i])
+    elif kind == "shear" and i != j:
+        vectors[i] = tuple(x + draw(st.sampled_from([-d, -1, 1, d])) * y for x, y in zip(vectors[i], vectors[j]))
+    elif kind == "problem":
+        p = _failing_only(p, draw(st.integers(1, 3)), draw(st.booleans()))
+    elif kind == "off_span":  # one generator of U_A replaced by one of U_E
+        p = replace(p, U_A=IntMatrix.from_columns(p.U_A.columns()[:-1] + p.U_E.columns()[:1]))
+    return p, AdaptedBasis(g=g, d=d, vectors=tuple(vectors))
+
+
+@settings(max_examples=120, deadline=None)
+@given(bases_and_problems())
+def test_predicate_matches_smith_reference(case):
+    p, b = case
+    assert is_adapted_basis(p, b) == reference_is_adapted_basis(p, b)
 
 
 def test_adapted_pairings_spotcheck():

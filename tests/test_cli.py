@@ -525,6 +525,25 @@ def test_adapted_basis_refuses_oversized_matrices(tmp_path, capsys):
         assert "cap of 20 rows and 20 columns" in err
 
 
+def test_polarization_accepts_six_digit_entries_and_refuses_seven(capsys):
+    code, out, _ = run_cli(capsys, ["polarization", "--gram", "[[0, -999999], [999999, 0]]"])
+    assert code == 0 and json.loads(out)["type"] == ["999999"]
+    code, out, err = run_cli(capsys, ["polarization", "--gram", "[[0, -1000000], [1000000, 0]]"])
+    assert code == 2 and out == ""
+    assert err.startswith("usage error:") and "cap of 6 decimal digits" in err
+
+
+def test_entry_cap_covers_every_matrix_subcommand(tmp_path, capsys):
+    """Decimal-string entries count too."""
+    big = json.dumps([[1, 0], [0, 10**12]])
+    code, out, err = run_cli(capsys, ["distinguish", "--a", big, "--b", big])
+    assert code == 2 and out == "" and "cap of 6 decimal digits" in err
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps(dict(PROBLEM_G2_D3, U_E=[["0", "-1"], ["1", "0"], ["0", "0"], ["0", "-3000000"]])))
+    code, out, err = run_cli(capsys, ["adapted-basis", "--input", str(path)])
+    assert code == 2 and out == "" and "cap of 6 decimal digits" in err
+
+
 # ----------------------------------------------------------- shell contract
 
 
