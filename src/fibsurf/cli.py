@@ -268,9 +268,8 @@ def _cmd_polarization(args) -> tuple[str, int]:
 
 
 def _cmd_distinguish(args) -> tuple[str, int]:
-    from .lattice_core import conjugacy_invariants
     from .modular import IRREGULAR, REGULAR
-    from .periods import distinguish_monodromies, monodromy_at_cusp
+    from .periods import compare_monodromies, monodromy_at_cusp
 
     if (args.a is None) != (args.b is None):
         raise UsageError("provide both --a and --b, or neither")
@@ -280,8 +279,7 @@ def _cmd_distinguish(args) -> tuple[str, int]:
     else:
         ma = monodromy_at_cusp(args.g, args.d, REGULAR).m.m
         mb = monodromy_at_cusp(args.g, args.d, IRREGULAR).m.m
-    result = distinguish_monodromies(ma, mb)
-    inv_a, inv_b = conjugacy_invariants(ma), conjugacy_invariants(mb)
+    result, inv_a, inv_b = compare_monodromies(ma, mb)
     if args.format == "json":
         payload = {"result": result, "a": inv_a, "b": inv_b}
         return encode_json(payload), 0

@@ -40,14 +40,26 @@ the solve, the Cholesky pivot and the defects are written out below.
 Inputs must be finite and defects must be <= tol.  Im Z and Im T count as
 positive definite when, scaled to unit diagonal, their smallest Cholesky
 pivot is > tol: Im T has diagonal entries from Im(Z)/d^2 up to Im(z)/d,
-and one rule for both keeps every scale of Im Z valid.
+and one rule for both keeps every scale of Im Z valid.  The degree is at
+most 2**511, so that 1/d^2 is a normal double.
+
+CHECKS.  Each check runs once per thing it depends on.  The regular
+monodromy depends only on g, so it is built and verified symplectic once
+per genus.  A PeriodData is validated in full once, when it is
+constructed.  The moved points z + d (monodromy_translation_defect) and
+Mz (gamma_action) keep its g, d, Z and tol, so only their z is checked
+again, on every move: it must be finite with Im z > 0, and Im(Mz) can
+underflow to 0.  T is solved and its relations verified once per point,
+then kept on the PeriodData.
 """
 
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 import os
+import sys
 from dataclasses import dataclass, field
 from itertools import chain
 
@@ -61,13 +73,21 @@ from .errors import (
     UnsupportedCombination,
 )
 from .intlinalg import IntMatrix, gram_in_basis
-from .lattice_core import SymplecticMatrix, conjugacy_invariants, standard_symplectic_gram
+from .lattice_core import (
+    ConjugacyInvariants,
+    SymplecticMatrix,
+    conjugacy_invariants,
+    standard_symplectic_gram,
+)
 from .modular import IRREGULAR, REGULAR, gamma_d_contains
 
 DISTINGUISHED = "Distinguished"
 INCONCLUSIVE = "Inconclusive"
 
 ComplexMatrix = tuple[tuple[complex, ...], ...]
+
+# the largest degree d whose 1/d^2, an entry of Im T, is a normal double
+_MAX_DEGREE = math.isqrt(int(1.0 / sys.float_info.min))
 
 
 def default_tolerance() -> float:
@@ -174,12 +194,21 @@ class PeriodData:
     Z: ComplexMatrix
     z: complex
     tol: float = field(default_factory=default_tolerance)
+    # T at this point, set by the first period_matrix call
+    _period_matrix: PeriodMatrix | None = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     def __post_init__(self):
         if self.g not in (2, 3):
             raise InvalidPeriodData(f"genus must be 2 or 3, got {self.g}")
         if self.d < 2:
             raise InvalidPeriodData(f"degree must be >= 2, got {self.d}")
+        if self.d > _MAX_DEGREE:
+            raise InvalidPeriodData(
+                f"degree must be at most 2**{_MAX_DEGREE.bit_length() - 1} "
+                f"(about {_MAX_DEGREE:.3g}), so that 1/d^2 is a normal double"
+            )
         if not 0.0 <= self.tol < math.inf:
             raise InvalidPeriodData("tolerance must be finite and nonnegative")
         h = self.g - 1
@@ -201,6 +230,17 @@ class PeriodData:
             raise InvalidPeriodData("Im(Z) is not positive definite")
         if not self.z.imag > 0:
             raise InvalidPeriodData("z must lie in the upper half plane")
+
+    def _moved(self, z: complex) -> PeriodData:
+        """This point with z replaced by the complex z.  g, d, Z and tol are
+        already valid; z is checked again, since Im(Mz) can underflow."""
+        if not cmath.isfinite(z):
+            raise InvalidPeriodData("Z and z must have finite entries")
+        if not z.imag > 0:
+            raise InvalidPeriodData("z must lie in the upper half plane")
+        moved = object.__new__(PeriodData)
+        vars(moved).update(vars(self), z=z, _period_matrix=None)
+        return moved
 
 
 @dataclass(frozen=True)
@@ -247,7 +287,10 @@ class PeriodMatrix:
 
 def period_matrix(p: PeriodData) -> PeriodMatrix:
     """Express the alpha-periods in the beta-frame and verify the Riemann
-    relations (symmetry and positivity of the imaginary part) within tol."""
+    relations (symmetry and positivity of the imaginary part) within tol.
+    The verified matrix is kept on p, so each point is solved once."""
+    if p._period_matrix is not None:
+        return p._period_matrix
     g, d = p.g, p.d
     u = lattice_sections(p).u
     alphas = (*u[: g - 2], u[2 * g + 1], u[2 * g])
@@ -267,7 +310,9 @@ def period_matrix(p: PeriodData) -> PeriodMatrix:
             f"corner of T differs from its structural value (defect {corner_defect:.3e})"
         )
     labels = tuple(f"{side}_{r}" for side in ("alpha", "beta") for r in range(1, g + 1))
-    return PeriodMatrix(T=t, basis_labels=labels)
+    pm = PeriodMatrix(T=t, basis_labels=labels)
+    object.__setattr__(p, "_period_matrix", pm)
+    return pm
 
 
 def siegel_action(m: IntMatrix, t) -> ComplexMatrix:
@@ -302,15 +347,14 @@ def gamma_action(p: PeriodData, m: IntMatrix) -> tuple[PeriodData, IntMatrix]:
         )
     al, be, ga, de = m[0, 0], m[0, 1], m[1, 0], m[1, 1]
     g = p.g
-    z_new = (al * p.z + be) / (ga * p.z + de)
-    p_new = PeriodData(g=p.g, d=p.d, Z=p.Z, z=z_new, tol=p.tol)
+    p_new = p._moved((al * p.z + be) / (ga * p.z + de))
 
     entries = [[1 if i == j else 0 for j in range(2 * g)] for i in range(2 * g)]
     entries[g - 1][g - 1] = de
     entries[2 * g - 1][g - 1] = -be
     entries[g - 1][2 * g - 1] = -ga
     entries[2 * g - 1][2 * g - 1] = al
-    return p_new, IntMatrix(entries)
+    return p_new, IntMatrix._of(tuple(map(tuple, entries)))
 
 
 def gamma_action_defect(p: PeriodData, m: IntMatrix) -> float:
@@ -349,6 +393,14 @@ _IRREGULAR_G3_D2 = (
 )
 
 
+@functools.cache
+def _regular_monodromy(g: int) -> MonodromyMatrix:
+    """I_{2g} + E_{g,2g}, built and verified symplectic once per genus."""
+    entries = [[1 if i == j else 0 for j in range(2 * g)] for i in range(2 * g)]
+    entries[g - 1][2 * g - 1] = 1
+    return MonodromyMatrix(m=SymplecticMatrix(IntMatrix(entries), g), cusp_case=REGULAR)
+
+
 def monodromy_at_cusp(g: int, d: int, case: str = REGULAR) -> MonodromyMatrix:
     """Monodromy around the cusp at infinity.
 
@@ -362,11 +414,7 @@ def monodromy_at_cusp(g: int, d: int, case: str = REGULAR) -> MonodromyMatrix:
             raise UnsupportedCombination(
                 f"regular monodromy needs g in {{2, 3}} and d >= 2, got ({g}, {d})"
             )
-        entries = [[1 if i == j else 0 for j in range(2 * g)] for i in range(2 * g)]
-        entries[g - 1][2 * g - 1] = 1
-        return MonodromyMatrix(
-            m=SymplecticMatrix(IntMatrix(entries), g), cusp_case=REGULAR
-        )
+        return _regular_monodromy(g)
     if case == IRREGULAR:
         if g != 3 or d != 2:
             raise UnsupportedCombination(
@@ -385,8 +433,8 @@ def monodromy_translation_defect(p: PeriodData) -> float:
     of the regular monodromy on T(z) must equal T(z + d)."""
     mono = monodromy_at_cusp(p.g, p.d, REGULAR)
     t_here = period_matrix(p).T
-    shifted = PeriodData(g=p.g, d=p.d, Z=p.Z, z=p.z + p.d, tol=p.tol)
-    return _max_abs_diff(siegel_action(mono.m.m, t_here), period_matrix(shifted).T)
+    t_there = period_matrix(p._moved(p.z + p.d)).T
+    return _max_abs_diff(siegel_action(mono.m.m, t_here), t_there)
 
 
 def _as_int_matrix(m) -> IntMatrix:
@@ -397,6 +445,16 @@ def _as_int_matrix(m) -> IntMatrix:
     return m
 
 
+def compare_monodromies(a, b) -> tuple[str, ConjugacyInvariants, ConjugacyInvariants]:
+    """The verdict of ``distinguish_monodromies`` together with the two
+    invariant records it is read from, each computed once."""
+    ma, mb = _as_int_matrix(a), _as_int_matrix(b)
+    if (ma.rows, ma.cols) != (mb.rows, mb.cols):
+        raise DimensionMismatch("monodromy matrices have different sizes")
+    inv_a, inv_b = conjugacy_invariants(ma), conjugacy_invariants(mb)
+    return (INCONCLUSIVE if inv_a == inv_b else DISTINGUISHED), inv_a, inv_b
+
+
 def distinguish_monodromies(a, b) -> str:
     """Compare two symplectic matrices by their conjugacy invariants.
 
@@ -404,12 +462,7 @@ def distinguish_monodromies(a, b) -> str:
     certainly not conjugate in the symplectic group) and INCONCLUSIVE
     otherwise.
     """
-    ma, mb = _as_int_matrix(a), _as_int_matrix(b)
-    if (ma.rows, ma.cols) != (mb.rows, mb.cols):
-        raise DimensionMismatch("monodromy matrices have different sizes")
-    if conjugacy_invariants(ma) == conjugacy_invariants(mb):
-        return INCONCLUSIVE
-    return DISTINGUISHED
+    return compare_monodromies(a, b)[0]
 
 
 def section_pairing_gram(g: int, d: int) -> IntMatrix:

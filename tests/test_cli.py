@@ -5,6 +5,7 @@ import json
 import pytest
 
 import fibsurf.cli as cli
+import fibsurf.lattice_core
 
 
 def run_cli(capsys, argv):
@@ -279,6 +280,34 @@ def test_period_large_degree(capsys, g, z_arg):
     assert entries[-1][-1] == ["0.0", "1e-05"]
 
 
+@pytest.mark.parametrize(
+    "g, d, z_arg",
+    [
+        ("2", str(10**400), "[[[0,1]]]"),
+        ("3", str(10**200), "[[[0,1],[0,0]],[[0,0],[0,1]]]"),
+    ],
+    ids=["g2-1e400", "g3-1e200"],
+)
+def test_period_refuses_degree_beyond_normal_doubles(capsys, g, d, z_arg):
+    """1/d^2 is an entry of Im T; once it is not a normal double the degree
+    is refused with a JSON error, not a traceback or a false violation."""
+    code, out, err = run_cli(capsys, ["period", "--g", g, "--d", d, "--Z", z_arg, "--z", "0,1"])
+    assert code == 1 and out == ""
+    payload = json.loads(err)
+    assert payload["error"] == "InvalidPeriodData" and "2**511" in payload["message"]
+
+
+def test_period_largest_degree(capsys):
+    z_arg = "[[[0,1],[0,0]],[[0,0],[0,1]]]"
+    code, out, err = run_cli(
+        capsys, ["period", "--g", "3", "--d", str(2**511), "--Z", z_arg, "--z", "0,1"]
+    )
+    assert code == 0 and err == ""
+    entries = json.loads(out)["T"]["entries"]
+    assert entries[1][1] == ["0.0", repr(2.0**-1022)]
+    assert entries[2][2] == ["0.0", repr(2.0**-511)]
+
+
 def test_period_end_to_end(capsys):
     z_arg = json.dumps([[[0, 1], [0, 0]], [[0, 0], [0, 1]]])
     code, out, _ = run_cli(
@@ -470,6 +499,21 @@ def test_distinguish_default_pair(capsys):
     assert payload["result"] == "Distinguished"
     assert payload["a"]["unipotent"] is True
     assert payload["b"]["unipotent"] is False
+
+
+def test_distinguish_computes_each_record_once(capsys, monkeypatch):
+    """Two records of two Smith forms each: M - I and M^2 - I per matrix."""
+    calls = []
+    original = fibsurf.lattice_core.smith_normal_form
+
+    def counting(m):
+        calls.append(m)
+        return original(m)
+
+    monkeypatch.setattr(fibsurf.lattice_core, "smith_normal_form", counting)
+    code, out, _ = run_cli(capsys, ["distinguish"])
+    assert code == 0 and json.loads(out)["result"] == "Distinguished"
+    assert len(calls) == 4
 
 
 def test_distinguish_explicit_matrices(capsys):

@@ -2,6 +2,7 @@
 action and the monodromy matrices at the cusp."""
 
 import math
+from collections import Counter
 from random import Random
 
 import numpy as np
@@ -42,8 +43,13 @@ from fibsurf import (
     section_pairing_gram,
     siegel_action,
 )
+import fibsurf.lattice_core
 import fibsurf.periods
-from fibsurf.periods import _smallest_cholesky_pivot, _unit_diagonal_cholesky_pivot
+from fibsurf.periods import (
+    _MAX_DEGREE,
+    _smallest_cholesky_pivot,
+    _unit_diagonal_cholesky_pivot,
+)
 from helpers import random_gamma_d_element, random_symplectic
 
 
@@ -120,6 +126,18 @@ def test_period_data_rejects_non_finite(fields):
     kwargs = {"g": 2, "d": 3, "Z": ((1j,),), "z": 1j, "tol": 1e-9, **fields}
     with pytest.raises(InvalidPeriodData):
         PeriodData(**kwargs)
+
+
+def test_period_data_refuses_degrees_beyond_normal_doubles():
+    """Im T has the entry Im(Z)/d^2, so a degree whose 1/d^2 is not a
+    normal double is refused before any float is formed; the largest
+    accepted degree still gives a verified T."""
+    assert _MAX_DEGREE == 2**511
+    for g in (2, 3):
+        with pytest.raises(InvalidPeriodData, match=r"at most 2\*\*511"):
+            reference_point(g, _MAX_DEGREE + 1)
+        t = period_matrix(reference_point(g, _MAX_DEGREE)).T
+        assert t[g - 2][g - 2] == complex(0, 2.0**-1022) and t[g - 1][g - 2] == 2.0**-511
 
 
 def test_default_tolerance_env(monkeypatch):
@@ -219,6 +237,16 @@ def test_period_matrix_refuses_semidefinite_im_t(monkeypatch):
         period_matrix(reference_point(2, 3))
 
 
+def test_period_matrix_is_kept_on_the_point():
+    """The verified T is stored on the point; equality, hashing and repr
+    do not see it."""
+    p, q = reference_point(3, 4), reference_point(3, 4)
+    pm = period_matrix(p)
+    assert period_matrix(p) is pm
+    assert p == q and hash(p) == hash(q) and repr(p) == repr(q)
+    assert period_matrix(q) == pm
+
+
 def test_period_matrix_labels():
     pm = period_matrix(reference_point(2, 4))
     assert pm.basis_labels == ("alpha_1", "alpha_2", "beta_1", "beta_2")
@@ -270,6 +298,25 @@ def test_gamma_action_moves_z_by_moebius():
     al, be, ga, de = m[0, 0], m[0, 1], m[1, 0], m[1, 1]
     assert abs(q.z - (al * p.z + be) / (ga * p.z + de)) < 1e-15
     assert q.Z == p.Z
+
+
+def test_gamma_action_checks_the_moved_point():
+    """Im(Mz) underflows to 0 at this point, so Mz is not in the upper half
+    plane although z is: the moved point is still checked."""
+    p = PeriodData(g=2, d=3, Z=((1j,),), z=0.5 + 1e-305j)
+    m = IntMatrix([[1, 0], [3 * 10**10, 1]])
+    for act in (gamma_action, gamma_action_defect):
+        with pytest.raises(InvalidPeriodData, match="z must lie in the upper half plane"):
+            act(p, m)
+
+
+def test_gamma_action_moved_point_equals_a_validated_one():
+    rng = Random(512)
+    for g, d in ((2, 3), (3, 5)):
+        p = random_point(rng, g, d)
+        q, _ = gamma_action(p, random_gamma_d_element(rng, d))
+        assert q == PeriodData(g=g, d=d, Z=p.Z, z=q.z, tol=p.tol)
+        assert period_matrix(q) == period_matrix(PeriodData(g=g, d=d, Z=p.Z, z=q.z, tol=p.tol))
 
 
 def test_gamma_action_defect_small():
@@ -371,6 +418,36 @@ def test_monodromy_translation_identity():
             assert monodromy_translation_defect(reference_point(g, d)) < 1e-12
             p = random_point(rng, g, d)
             assert monodromy_translation_defect(p) < 1e-9
+
+
+def test_each_constant_and_point_checked_once(monkeypatch):
+    """One criterion-6 operation (T, both defects) validates its point in
+    full once and solves T at its two points, z and z + d, once each; the
+    regular monodromy is verified symplectic once per genus."""
+    counts = Counter()
+
+    def counting(name, fn):
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    monkeypatch.setattr(PeriodData, "__post_init__", counting("validate", PeriodData.__post_init__))
+    monkeypatch.setattr(fibsurf.periods, "PeriodMatrix", counting("solve", fibsurf.periods.PeriodMatrix))
+    monkeypatch.setattr(
+        fibsurf.lattice_core, "is_symplectic", counting("symplectic", fibsurf.lattice_core.is_symplectic)
+    )
+    fibsurf.periods._regular_monodromy.cache_clear()  # start from an empty cache
+    rng = Random(513)
+    for g, d in ((2, 3), (3, 4), (2, 5), (3, 3)):
+        counts["validate"] = counts["solve"] = 0
+        p = random_point(rng, g, d)
+        period_matrix(p)
+        assert monodromy_translation_defect(p) < 1e-9
+        assert gamma_action_defect(p, random_gamma_d_element(rng, d, max_len=3)) < 1e-7
+        assert (counts["validate"], counts["solve"]) == (1, 2)
+    assert counts["symplectic"] == 2
 
 
 def test_siegel_action_dimension_check():
