@@ -30,16 +30,26 @@ construction below mirrors the existence proof, made fully explicit:
     by an integral projection, computed in the coordinates of U; the
     complement's basis is taken in ambient coordinates.
 
+Verification: ``is_adapted_basis`` checks the three defining conditions in
+full once per (problem, basis) pair and records the problem object on the
+basis, so a later call with the same problem object answers at once.  Both
+dataclasses are frozen over immutable data, so the answer cannot go stale;
+an equal but distinct problem or basis is checked again.
+
 Basis changes: for M in SL_2(Z) acting on the pair (u_g, u_{2g}), the
 transformed tuple is again adapted iff M is congruent to the identity mod
-d.  ``change_basis`` performs the division step through exact lattice
-arithmetic (solving in the old basis), so that equivalence is genuinely
-executable rather than a congruence test on M.
+d.  ``change_basis`` finds the new glue vectors without a solve: the glue
+relations above fix the coordinates of their numerators in the listed
+basis, and the division by d is exact integer arithmetic on those
+coordinates.  The trade-off is that this division is, in effect, a
+congruence test on M rather than a search for lattice coordinates.  Its
+result is checked against the glue relations of the moved basis, and on
+linearly dependent listed vectors it can differ from what a solve finds.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from math import gcd
 
@@ -60,7 +70,6 @@ from .intlinalg import (
     gram_in_basis,
     mat_vec,
     pairing,
-    solve_integer,
     xgcd,
 )
 from .lattice_core import (
@@ -126,6 +135,10 @@ class AdaptedBasis:
     g: int
     d: int
     vectors: tuple[Vector, ...]
+    # the problem object this basis last passed is_adapted_basis against
+    _verified_for: AdaptedBasisProblem | None = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     def __post_init__(self):
         if self.g < 2 or self.d < 2:
@@ -193,10 +206,9 @@ def canonical_problem(g: int, d: int) -> AdaptedBasisProblem:
     )
 
 
-def _validate_problem(p: AdaptedBasisProblem) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
+def _validate_problem(p: AdaptedBasisProblem) -> tuple[IntMatrix, IntMatrix]:
     """Check every input invariant; return the symplectic normal-form bases
-    of U_A and U_E in the coordinates of U, and the Gram matrix U^T G U of
-    the form in those coordinates."""
+    of U_A and U_E in the coordinates of U."""
     g, d = p.g, p.d
     if g < 2:
         raise InvariantViolation("genus must be at least 2")
@@ -214,30 +226,34 @@ def _validate_problem(p: AdaptedBasisProblem) -> tuple[IntMatrix, IntMatrix, Int
             raise InvariantViolation(f"{name} must have {cols} generator columns")
     if p.factored_U.rank() != 2 * g:
         raise InvariantViolation("U does not have full rank 2g")
-    in_a = p.factored_U.solve(p.U_A)
-    if in_a is None:
-        raise InvariantViolation("U_A is not contained in U")
-    in_e = p.factored_U.solve(p.U_E)
-    if in_e is None:
-        raise InvariantViolation("U_E is not contained in U")
+    # coordinates of [U_A | U_E] in U, from one solve
+    n_a = 2 * g - 2
+    joint = p.factored_U.solve(_column_matrix(p.U_A.columns() + p.U_E.columns()))
+    if joint is None:
+        name = "U_E" if p.factored_U.solve(p.U_A) is not None else "U_A"
+        raise InvariantViolation(f"{name} is not contained in U")
     gram_u = gram_in_basis(p.form.gram, p.U)
     # alternating, so det = Pf^2 = (d_1 * ... * d_g)^2: principal iff det = 1
     if gram_u.det() != 1:
         raise InvariantViolation("form restricted to U is not principal")
-    basis_a = _symplectic_basis(p.form.gram, p.U_A, "U_A", coprincipal_type(g - 1, d))
-    basis_e = _symplectic_basis(p.form.gram, p.U_E, "U_E", coprincipal_type(1, d))
+    # the form on U_A, on U_E and between them, as blocks of one Gram matrix
+    gram_w = gram_in_basis(gram_u, joint)
+    a_idx, e_idx = range(n_a), range(n_a, n_a + 2)
+    basis_a = _symplectic_basis(gram_w.submatrix(a_idx, a_idx), "U_A", coprincipal_type(g - 1, d))
+    basis_e = _symplectic_basis(gram_w.submatrix(e_idx, e_idx), "U_E", coprincipal_type(1, d))
     # with both forms nondegenerate this also makes U_A and U_E meet
     # trivially: a common vector pairs to zero with all of U_A
-    if not (p.U_A.transpose() * p.form.gram * p.U_E).is_zero():
+    if not gram_w.submatrix(a_idx, e_idx).is_zero():
         raise InvariantViolation("U_A and U_E are not orthogonal")
-    return in_a * basis_a, in_e * basis_e, gram_u
+    coords = joint.columns()
+    return _column_matrix(coords[:n_a]) * basis_a, _column_matrix(coords[n_a:]) * basis_e
 
 
-def _symplectic_basis(gram: IntMatrix, m: IntMatrix, name: str, want) -> IntMatrix:
-    """Symplectic normal-form basis of the form on the columns of m, whose
+def _symplectic_basis(gram: IntMatrix, name: str, want) -> IntMatrix:
+    """Symplectic normal-form basis of the form with this Gram matrix, whose
     type must be ``want`` (a degenerate form is an invalid input too)."""
     try:
-        basis, found = frobenius_basis(AlternatingForm(gram_in_basis(gram, m)))
+        basis, found = frobenius_basis(AlternatingForm(gram))
     except Degenerate:
         found = None
     if found != want:
@@ -291,7 +307,7 @@ def construct_adapted_basis(p: AdaptedBasisProblem) -> AdaptedBasis:
     are c(v)^T gram_w c(v') / d^2.  Vectors leave the frame once, at the
     end, through W and then U."""
     # symplectic normal forms of the two sublattices
-    basis_a, basis_e, gram_u = _validate_problem(p)
+    basis_a, basis_e = _validate_problem(p)
     g, d = p.g, p.d
     n_a = 2 * g - 2
     cols_a = basis_a.columns()  # e_1..e_{g-1}, f_1..f_{g-1}
@@ -307,8 +323,13 @@ def construct_adapted_basis(p: AdaptedBasisProblem) -> AdaptedBasis:
     # W T = S^-1 D: the generators v1, v2 are columns 2g-2, 2g-1 of S^-1,
     # where D is d, so c(v1), c(v2) are the same columns of T
     c1, c2 = w.snf.t.column(n_a), w.snf.t.column(n_a + 1)
-    gram_w = gram_in_basis(gram_u, w.a)
-    gram_a = gram_w.submatrix(range(n_a), range(n_a))
+    # the frame is a symplectic normal form, so its Gram matrix is known:
+    # [[0, D], [-D, 0]] on U_A, D = diag(1, ..., 1, d), and (x, y) = d
+    gram_a = block_normal_gram(coprincipal_type(g - 1, d))
+    gram_w = IntMatrix._of(
+        tuple(r + (0, 0) for r in gram_a.entries())
+        + ((0,) * n_a + (0, d), (0,) * n_a + (-d, 0))
+    )
     # c(t) = d * (i-th unit vector) for the i-th column t of basis_a
     c_a = [tuple(d if k == i else 0 for k in range(2 * g)) for i in range(n_a)]
 
@@ -400,7 +421,12 @@ def construct_adapted_basis(p: AdaptedBasisProblem) -> AdaptedBasis:
 
 
 def is_adapted_basis(p: AdaptedBasisProblem, b: AdaptedBasis) -> bool:
-    """Exact predicate: the three defining conditions of an adapted basis."""
+    """Exact predicate: the three defining conditions of an adapted basis.
+
+    A basis that passed against this very problem object (``is``, not
+    ``==``) passes again without a check."""
+    if b._verified_for is p:
+        return True
     if b.g != p.g or b.d != p.d:
         raise DimensionMismatch("basis and problem disagree on (g, d)")
     if len(b.vectors[0]) != p.form.dim:
@@ -412,9 +438,13 @@ def is_adapted_basis(p: AdaptedBasisProblem, b: AdaptedBasis) -> bool:
     # (2) u_1..u_{g-1}, u_{g+1}..u_{2g-1} is a symplectic basis of U_A of
     #     type (1, ..., 1, d); (3) u_g, u_{2g} is one of U_E of type (d)
     gram, d = p.form.gram, p.d
-    return _is_normal_basis_of(gram, b.u_a_part(), coprincipal_type(p.g - 1, d), p.U_A) and (
-        _is_normal_basis_of(gram, b.u_e_part(), coprincipal_type(1, d), p.U_E)
-    )
+    if not (
+        _is_normal_basis_of(gram, b.u_a_part(), coprincipal_type(p.g - 1, d), p.U_A)
+        and _is_normal_basis_of(gram, b.u_e_part(), coprincipal_type(1, d), p.U_E)
+    ):
+        return False
+    object.__setattr__(b, "_verified_for", p)
+    return True
 
 
 def _is_normal_basis_of(gram: IntMatrix, part, ptype, gens: IntMatrix) -> bool:
@@ -443,34 +473,38 @@ def change_basis(
     """Act by M on (u_g, u_{2g}) and rebuild the glue vectors.
 
     Returns the new adapted basis, or NOT_ADAPTED when the division by d
-    fails inside the lattice (which happens exactly when M is not congruent
-    to the identity mod d).  The division is carried out by solving in the
-    old basis, not by inspecting M mod d.
+    fails (exactly when M is not congruent to the identity mod d).  The glue
+    relations fix the coordinates of the numerators u'_g + u_{2g-1} and
+    u'_{2g} + u_{g-1} on (u_g, u_{g-1}, u_{2g+1}, u_{2g+2}); the new glue
+    vectors are these combinations divided by d.  On linearly independent
+    listed vectors these are the only coordinates, so a solve finds the
+    same.  On dependent ones a solve could find others, divisible by d where
+    these are not or the reverse; only these are used.
     """
     if m.rows != 2 or m.cols != 2:
         raise DimensionMismatch("basis change takes a 2x2 matrix")
     if m.det() != 1:
         raise NotUnimodular(f"determinant {m.det()} != 1")
-    g = b.g
-    u_g, u_2g = b.u_e_part()
-    new_u_g = combo([u_g, u_2g], [m[0, 0], m[0, 1]])
-    new_u_2g = combo([u_g, u_2g], [m[1, 0], m[1, 1]])
-
-    old_basis = b.listed_matrix()
-    numerators = IntMatrix.from_columns([
-        combo([new_u_g, b.u(2 * g - 1)], [1, 1]),
-        combo([new_u_2g, b.u(g - 1)], [1, 1]),
-    ])
-    coords = solve_integer(old_basis, numerators)
-    _ensure(coords is not None, "numerators do not lie in U")  # they manifestly do
-    if any(c % d for row in coords.entries() for c in row):
+    g, e = b.g, b.d  # e enters b's glue relations, d is the divisor asked for
+    (m00, m01), (m10, m11) = m.entries()
+    # coordinates of the two numerators on (u_g, u_{g-1}, u_{2g+1}, u_{2g+2})
+    numerators = ((m00 - 1, -m01, e, m01 * e), (m10, 1 - m11, 0, m11 * e))
+    if any(c % d for coords in numerators for c in coords):
         return NOT_ADAPTED
-    new_u_2g1, new_u_2g2 = (
-        mat_vec(old_basis, tuple(c // d for c in col)) for col in coords.columns()
-    )
+    u_g, u_2g = b.u_e_part()
+    new_u_g = combo([u_g, u_2g], [m00, m01])
+    new_u_2g = combo([u_g, u_2g], [m10, m11])
+    frame = [u_g, b.u(g - 1), b.u(2 * g + 1), b.u(2 * g + 2)]
 
     vectors = list(b.vectors)
     vectors[g - 1] = new_u_g
-    vectors[2 * g - 2] = new_u_2g1
-    vectors[2 * g - 1] = new_u_2g2
-    return AdaptedBasis(g=g, d=d, vectors=tuple(vectors))
+    vectors[2 * g - 2], vectors[2 * g - 1] = (
+        combo(frame, [c // d for c in coords]) for coords in numerators
+    )
+    moved = AdaptedBasis(g=g, d=d, vectors=tuple(vectors))
+    # the new glue relations: u_{2g-1} is kept and u_{2g} becomes u'_{2g}
+    _ensure(
+        moved.u(2 * g - 1) == b.u(2 * g - 1) and moved.u(2 * g) == new_u_2g,
+        "moved basis does not satisfy the glue relations",
+    )
+    return moved

@@ -27,7 +27,6 @@ Conventions:
 
 from __future__ import annotations
 
-from fractions import Fraction
 from operator import mul
 from typing import Iterable, NamedTuple, Sequence
 
@@ -463,12 +462,12 @@ def char_poly(m: IntMatrix) -> tuple[int, ...]:
     coeffs = [1]
     mk = m
     for k in range(1, n + 1):
-        ck_frac = Fraction(-mk.trace(), k)
-        if ck_frac.denominator != 1:
+        minus_trace = -mk.trace()
+        ck, rem = divmod(minus_trace, k)
+        if rem:
             raise PostconditionFailed(
-                f"Faddeev-LeVerrier division by {k} is not exact: {ck_frac}"
+                f"Faddeev-LeVerrier division by {k} is not exact: {minus_trace}/{k}"
             )
-        ck = int(ck_frac)
         coeffs.append(ck)
         if k < n:
             mk = m * (mk + IntMatrix.identity(n).scale(ck))

@@ -347,7 +347,11 @@ def gamma_action(p: PeriodData, m: IntMatrix) -> tuple[PeriodData, IntMatrix]:
         )
     al, be, ga, de = m[0, 0], m[0, 1], m[1, 0], m[1, 1]
     g = p.g
-    p_new = p._moved((al * p.z + be) / (ga * p.z + de))
+    try:
+        z_new = (al * p.z + be) / (ga * p.z + de)
+    except OverflowError as exc:  # an entry of M beyond the float range
+        raise InvalidPeriodData(f"cannot move z by M in floating point: {exc}") from exc
+    p_new = p._moved(z_new)
 
     entries = [[1 if i == j else 0 for j in range(2 * g)] for i in range(2 * g)]
     entries[g - 1][g - 1] = de

@@ -5,8 +5,9 @@ integers become decimal strings; fractions the reduced "p/q" form; complex
 numbers become [re, im] pairs of decimal strings (shortest round-trip
 repr); integer and complex matrices become {"rows": n, "cols": m,
 "entries": [[...], ...]} with numeric shape fields and string entries.
-Dataclasses serialize by field name, with the trailing-underscore escape
-for Python keywords stripped (``lambda_`` -> "lambda").
+Dataclasses serialize the fields they compare by, by field name, with the
+trailing-underscore escape for Python keywords stripped (``lambda_`` ->
+"lambda"); a memo field (``compare=False``) is not part of the value.
 """
 
 from __future__ import annotations
@@ -56,6 +57,7 @@ def to_jsonable(obj):
         return {
             field_name(f.name): to_jsonable(getattr(obj, f.name))
             for f in dataclasses.fields(obj)
+            if f.compare
         }
     if isinstance(obj, dict):
         return {str(k): to_jsonable(v) for k, v in obj.items()}
@@ -155,6 +157,8 @@ def parse_int_matrix(data) -> IntMatrix:
             f"matrix of {len(rows)} rows and {width} columns exceeds the cap of "
             f"{_MAX_MATRIX_DIM} rows and {_MAX_MATRIX_DIM} columns"
         )
+    if not width or any(len(row) != width for row in rows):
+        raise UsageError("matrix rows must be nonempty and of equal length")
     if any(abs(v) >= 10**_MAX_ENTRY_DIGITS for row in rows for v in row):
         raise UsageError(f"matrix entries exceed the cap of {_MAX_ENTRY_DIGITS} decimal digits")
     if isinstance(data, dict):

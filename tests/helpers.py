@@ -7,16 +7,23 @@ reproducible; no global seeding.
 from random import Random
 
 from fibsurf import (
+    NOT_ADAPTED,
+    AdaptedBasis,
     AdaptedBasisProblem,
     AlternatingForm,
     DimensionMismatch,
     Factored,
     IntMatrix,
+    NotUnimodular,
+    PostconditionFailed,
     block_normal_gram,
     canonical_problem,
+    combo,
     coprincipal_type,
     gram_in_basis,
     invert_unimodular,
+    mat_vec,
+    solve_integer,
 )
 
 SL2_S = IntMatrix([[0, -1], [1, 0]])
@@ -173,3 +180,37 @@ def reference_is_adapted_basis(p, b) -> bool:
     if gram_in_basis(p.form.gram, part_e) != IntMatrix([[0, d], [-d, 0]]):
         return False
     return True
+
+
+def reference_change_basis(b, m, d):
+    """The earlier solve-based form of ``change_basis``, kept as an oracle:
+    the coordinates of the two glue numerators come from solving in the
+    listed basis, and are divided by d there."""
+    if m.rows != 2 or m.cols != 2:
+        raise DimensionMismatch("basis change takes a 2x2 matrix")
+    if m.det() != 1:
+        raise NotUnimodular(f"determinant {m.det()} != 1")
+    g = b.g
+    u_g, u_2g = b.u_e_part()
+    new_u_g = combo([u_g, u_2g], [m[0, 0], m[0, 1]])
+    new_u_2g = combo([u_g, u_2g], [m[1, 0], m[1, 1]])
+
+    old_basis = b.listed_matrix()
+    numerators = IntMatrix.from_columns([
+        combo([new_u_g, b.u(2 * g - 1)], [1, 1]),
+        combo([new_u_2g, b.u(g - 1)], [1, 1]),
+    ])
+    coords = solve_integer(old_basis, numerators)
+    if coords is None:  # they manifestly lie in the span
+        raise PostconditionFailed("numerators do not lie in U")
+    if any(c % d for row in coords.entries() for c in row):
+        return NOT_ADAPTED
+    new_u_2g1, new_u_2g2 = (
+        mat_vec(old_basis, tuple(c // d for c in col)) for col in coords.columns()
+    )
+
+    vectors = list(b.vectors)
+    vectors[g - 1] = new_u_g
+    vectors[2 * g - 2] = new_u_2g1
+    vectors[2 * g - 1] = new_u_2g2
+    return AdaptedBasis(g=g, d=d, vectors=tuple(vectors))

@@ -5,7 +5,7 @@ from dataclasses import replace
 from random import Random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from fibsurf import (
@@ -14,6 +14,7 @@ from fibsurf import (
     AdaptedBasisProblem,
     AlternatingForm,
     DimensionMismatch,
+    Factored,
     IntMatrix,
     InvalidArgument,
     InvariantViolation,
@@ -28,6 +29,7 @@ from fibsurf import (
     gram_in_basis,
     is_adapted_basis,
     pairing,
+    rank,
     smith_normal_form,
 )
 from helpers import (
@@ -35,6 +37,7 @@ from helpers import (
     random_sl2_word,
     random_unimodular,
     randomized_problem,
+    reference_change_basis,
     reference_is_adapted_basis,
 )
 
@@ -54,7 +57,7 @@ def test_construct_on_canonical_problems():
     for g, d in SMALL_CASES:
         p = canonical_problem(g, d)
         b = construct_adapted_basis(p)
-        assert is_adapted_basis(p, b), (g, d)
+        assert is_adapted_basis(p, b) and reference_is_adapted_basis(p, b), (g, d)
 
 
 def test_construct_on_randomized_problems():
@@ -63,7 +66,7 @@ def test_construct_on_randomized_problems():
         for _ in range(5):
             p = randomized_problem(rng, g, d)
             b = construct_adapted_basis(p)
-            assert is_adapted_basis(p, b), (g, d)
+            assert is_adapted_basis(p, b) and reference_is_adapted_basis(p, b), (g, d)
 
 
 # construct_adapted_basis on randomized_problem(Random(seed), g, d), whose U
@@ -240,6 +243,89 @@ def test_change_basis_composition():
     # acting on the row vector (u_g, u_{2g}): b -> m1 b -> m2 (m1 b)
     both = change_basis(b, m2 * m1, 3)
     assert once.vectors == both.vectors
+
+
+@st.composite
+def basis_moves(draw):
+    """(b, M, d'): a constructed adapted basis, or 2g random linearly
+    independent listed vectors, a random SL_2 word or Gamma(d) element, and
+    the divisor, mostly the basis's own d."""
+    g, d = draw(st.sampled_from([2, 3])), draw(st.integers(2, 7))
+    rng = Random(draw(st.integers(0, 2**32)))
+    if draw(st.booleans()):
+        b = construct_adapted_basis(randomized_problem(rng, g, d))
+    else:
+        n = 2 * g + draw(st.integers(0, 1))
+        entries = st.lists(st.integers(-6, 6), min_size=n, max_size=n)
+        vectors = draw(st.lists(entries.map(tuple), min_size=2 * g, max_size=2 * g))
+        assume(rank(IntMatrix.from_columns(vectors)) == 2 * g)
+        b = AdaptedBasis(g=g, d=d, vectors=tuple(vectors))
+    m = random_gamma_d_element(rng, d) if draw(st.booleans()) else random_sl2_word(rng)
+    return b, m, draw(st.sampled_from([d, d, d, d + 1, 2 * d]))
+
+
+@settings(max_examples=150, deadline=None)
+@given(basis_moves())
+def test_change_basis_matches_solve_reference(case):
+    """On independent listed vectors the glue numerators have one set of
+    coordinates, so the closed form and a solve agree, NOT_ADAPTED
+    included."""
+    b, m, d = case
+    assert change_basis(b, m, d) == reference_change_basis(b, m, d)
+
+
+def test_change_basis_on_dependent_vectors_uses_the_glue_coordinates():
+    """With dependent listed vectors (here u_2 = -u_1) the numerators have
+    other coordinates too.  A solve finds some divisible by d although M is
+    not congruent to the identity mod d; the closed form uses the glue
+    coordinates only and refuses.  For M in Gamma(d) it still gives the
+    glue relations of the moved basis."""
+    g, d = 2, 3
+    vectors = ((-2, 1, 0, 1), (2, -1, 0, -1), (-3, 3, 2, -3), (-1, 1, -2, -2))
+    b = AdaptedBasis(g=g, d=d, vectors=vectors)
+    m = IntMatrix([[0, 1], [-1, 2]])
+    assert reference_change_basis(b, m, d) is not NOT_ADAPTED
+    assert change_basis(b, m, d) is NOT_ADAPTED
+    moved = change_basis(b, IntMatrix([[1, 3], [3, 10]]), d)
+    u_g, u_2g = b.u_e_part()
+    assert moved.u(2 * g - 1) == b.u(2 * g - 1)
+    assert moved.u_e_part() == (combo([u_g, u_2g], [1, 3]), combo([u_g, u_2g], [3, 10]))
+
+
+def test_verification_is_remembered_per_problem_object(monkeypatch):
+    """A passed check is kept on the basis for that problem object only: an
+    equal but distinct problem or basis is checked in full again, and so is
+    a failed check."""
+    p = randomized_problem(Random(408), 3, 4)
+    b = construct_adapted_basis(p)
+    solves = [0]
+    original = Factored.solve
+
+    def counted(self, rhs):
+        solves[0] += 1
+        return original(self, rhs)
+
+    monkeypatch.setattr(Factored, "solve", counted)
+    assert is_adapted_basis(p, b) and solves[0] == 0
+    q, fresh = replace(p), AdaptedBasis(g=b.g, d=b.d, vectors=b.vectors)
+    assert q == p and q is not p
+    assert fresh == b and hash(fresh) == hash(b) and repr(fresh) == repr(b)
+    assert is_adapted_basis(q, b) and solves[0] == 1
+    assert is_adapted_basis(p, fresh) and solves[0] == 2
+    assert is_adapted_basis(p, fresh) and solves[0] == 2
+    bad = _failing_only(p, 2, False)
+    assert not is_adapted_basis(bad, b) and not is_adapted_basis(bad, b)
+    assert solves[0] == 4
+
+
+def test_verified_basis_encodes_as_before():
+    """The memo is not part of the value, so it is not serialized either."""
+    from fibsurf.serialize import to_jsonable
+
+    b = construct_adapted_basis(canonical_problem(2, 3))
+    fresh = AdaptedBasis(g=2, d=3, vectors=b.vectors)
+    assert to_jsonable(b) == to_jsonable(fresh)
+    assert sorted(to_jsonable(b)) == ["d", "g", "vectors"]
 
 
 def test_not_adapted_sentinel_is_falsy():

@@ -489,6 +489,14 @@ def test_polarization_rejects_malformed_shape(capsys, shape):
     assert err.startswith("usage error:")
 
 
+@pytest.mark.parametrize("gram", ["[[0,1],[-1]]", "[[]]", "[[0,1],[]]"])
+def test_polarization_refuses_ragged_and_empty_rows(capsys, gram):
+    """Like every other malformed matrix: exit 2, not a DimensionMismatch."""
+    code, out, err = run_cli(capsys, ["polarization", "--gram", gram])
+    assert code == 2 and out == ""
+    assert err.startswith("usage error:") and "equal length" in err
+
+
 # -------------------------------------------------------------- distinguish
 
 

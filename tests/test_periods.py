@@ -247,6 +247,15 @@ def test_period_matrix_is_kept_on_the_point():
     assert period_matrix(q) == pm
 
 
+def test_point_with_its_period_matrix_encodes_as_before():
+    from fibsurf.serialize import to_jsonable
+
+    p, q = reference_point(3, 4), reference_point(3, 4)
+    period_matrix(p)
+    assert to_jsonable(p) == to_jsonable(q)
+    assert sorted(to_jsonable(p)) == ["Z", "d", "g", "tol", "z"]
+
+
 def test_period_matrix_labels():
     pm = period_matrix(reference_point(2, 4))
     assert pm.basis_labels == ("alpha_1", "alpha_2", "beta_1", "beta_2")
@@ -276,6 +285,18 @@ def test_gamma_action_requires_congruence():
         gamma_action(p, IntMatrix([[1, 1], [0, 1]]))
     with pytest.raises(DimensionMismatch):
         gamma_action(p, IntMatrix.identity(3))
+
+
+@pytest.mark.parametrize(
+    "m", [[[1, 0], [3 * 10**400, 1]], [[1, 3 * 10**400], [0, 1]]]
+)
+def test_gamma_action_refuses_entries_beyond_floats(m):
+    """Once an OverflowError traceback from the Moebius step."""
+    p = reference_point(2, 3)
+    with pytest.raises(InvalidPeriodData, match="floating point"):
+        gamma_action(p, IntMatrix(m))
+    with pytest.raises(InvalidPeriodData):
+        gamma_action_defect(p, IntMatrix(m))
 
 
 def test_gamma_action_cocycle():

@@ -41,12 +41,25 @@ def test_construction_postcondition(monkeypatch):
 
 
 def test_change_basis_internal_check(monkeypatch):
-    """The numerators of the glue vectors lie in U by construction; a solve
-    that says otherwise is a failed check, not an ``assert``."""
+    """The moved basis keeps u_{2g-1} and has u'_{2g} as its derived
+    vector by construction; a glue vector that breaks this is a failed
+    check, not an ``assert``."""
     basis = construct_adapted_basis(canonical_problem(2, 3))
-    monkeypatch.setattr(fibsurf.adapted, "solve_integer", lambda a, b: None)
-    with pytest.raises(PostconditionFailed, match="numerators do not lie in U"):
+    original = fibsurf.adapted.combo
+    glue_calls = [0]
+
+    def first_glue_vector_off(vectors, coeffs):
+        out = original(vectors, coeffs)
+        if len(vectors) == 4:  # a glue vector, from the 4-vector frame
+            glue_calls[0] += 1
+            if glue_calls[0] == 1:
+                return (out[0] + 1,) + out[1:]
+        return out
+
+    monkeypatch.setattr(fibsurf.adapted, "combo", first_glue_vector_off)
+    with pytest.raises(PostconditionFailed, match="glue relations"):
         change_basis(basis, IntMatrix([[1, 3], [0, 1]]), 3)
+    assert glue_calls[0] == 2
 
 
 def test_construction_internal_check(monkeypatch):
