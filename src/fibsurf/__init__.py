@@ -26,8 +26,7 @@ _EXPORTS = {
     "intlinalg": (
         "Factored", "IntMatrix", "SmithForm", "char_poly",
         "column_lattice_basis", "combo", "gram_in_basis", "invert_unimodular",
-        "mat_vec", "pairing", "rank", "smith_normal_form", "solve_integer",
-        "xgcd",
+        "mat_vec", "pairing", "smith_normal_form", "xgcd",
     ),
     "lattice_core": (
         "AlternatingForm", "ConjugacyInvariants", "PolarizationType",
@@ -49,11 +48,10 @@ _EXPORTS = {
         "is_adapted_basis",
     ),
     "periods": (
-        "DISTINGUISHED", "INCONCLUSIVE", "LatticeSections", "MonodromyMatrix",
-        "PeriodData", "PeriodMatrix", "default_tolerance",
-        "distinguish_monodromies", "gamma_action", "gamma_action_defect",
-        "lattice_sections", "monodromy_at_cusp",
-        "monodromy_translation_defect", "period_matrix",
+        "DISTINGUISHED", "INCONCLUSIVE", "MonodromyMatrix", "PeriodData",
+        "PeriodMatrix", "default_tolerance", "distinguish_monodromies",
+        "gamma_action", "gamma_action_defect", "lattice_sections",
+        "monodromy_at_cusp", "monodromy_translation_defect", "period_matrix",
         "section_pairing_gram", "siegel_action",
     ),
     "invariants": (

@@ -481,6 +481,8 @@ def change_basis(
     same.  On dependent ones a solve could find others, divisible by d where
     these are not or the reverse; only these are used.
     """
+    if d < 2:
+        raise DimensionMismatch(f"basis change needs d >= 2, got {d}")
     if m.rows != 2 or m.cols != 2:
         raise DimensionMismatch("basis change takes a 2x2 matrix")
     if m.det() != 1:

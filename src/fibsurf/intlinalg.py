@@ -19,10 +19,9 @@ Conventions:
   * ``smith_normal_form`` returns the diagonal together with *all four*
     transition matrices (S, T and their inverses), since quotient-group
     computations need the inverse of the row transform.
-  * ``Factored(a)`` holds one Smith form of ``a`` and answers ``solve(b)``
-    and ``rank()`` from it, so a caller that solves several systems against
-    the same matrix factors it once; ``solve_integer`` and ``rank`` are the
-    one-shot forms of the same code.
+  * ``Factored(a)`` is the one integral solver: it holds one Smith form of
+    ``a`` and answers ``solve(b)`` and ``rank()`` from it, so a caller that
+    solves several systems against the same matrix factors it once.
 """
 
 from __future__ import annotations
@@ -415,25 +414,12 @@ class Factored:
         return self.snf.t * IntMatrix._of(tuple(y))
 
 
-def rank(m: IntMatrix) -> int:
-    return Factored(m).rank()
-
-
-def solve_integer(a: IntMatrix, b: IntMatrix) -> IntMatrix | None:
-    """Solve a * x = b over the integers; None when no integral solution.
-
-    ``b`` may have several columns (solved simultaneously).  To solve
-    several systems against the same ``a``, use ``Factored(a).solve``.
-    """
-    return Factored(a).solve(b)
-
-
 def invert_unimodular(m: IntMatrix) -> IntMatrix:
     """Exact inverse of a matrix with determinant +-1."""
     d = m.det()
     if d not in (1, -1):
         raise NotUnimodular(f"determinant is {d}, not a unit")
-    x = solve_integer(m, IntMatrix.identity(m.rows))
+    x = Factored(m).solve(IntMatrix.identity(m.rows))
     if x is None:
         raise PostconditionFailed("a unimodular matrix has no integral inverse")
     return x

@@ -15,6 +15,7 @@ the pivot to divide the remaining block before recursing.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import comb
 
 from .errors import (
     Degenerate,
@@ -260,10 +261,11 @@ def conjugacy_invariants(m: SymplecticMatrix | IntMatrix) -> ConjugacyInvariants
     mat = m.m
     n = mat.rows
     ident = IntMatrix.identity(n)
-    nilpart = mat - ident
+    poly = char_poly(mat)
     return ConjugacyInvariants(
-        char_poly=char_poly(mat),
-        unipotent=nilpart.power(n).is_zero(),
-        snf_m_minus_i=smith_normal_form(nilpart).diagonal(),
+        char_poly=poly,
+        # Cayley-Hamilton: (M - I)^n = 0 iff det(xI - M) = (x - 1)^n
+        unipotent=poly == tuple((-1) ** k * comb(n, k) for k in range(n + 1)),
+        snf_m_minus_i=smith_normal_form(mat - ident).diagonal(),
         snf_m2_minus_i=smith_normal_form(mat * mat - ident).diagonal(),
     )

@@ -243,21 +243,9 @@ class PeriodData:
         return moved
 
 
-@dataclass(frozen=True)
-class LatticeSections:
-    """The values u_1(z), ..., u_{2g+2}(z), each a vector in C^g."""
-
-    u: tuple[tuple[complex, ...], ...]
-
-    def vector(self, i: int):
-        """u_i as a numpy array, 1-based index."""
-        import numpy as np
-
-        return np.array(self.u[i - 1], dtype=complex)
-
-
-def lattice_sections(p: PeriodData) -> LatticeSections:
-    """Evaluate the 2g+2 sections at (Z, z); see the module docstring."""
+def lattice_sections(p: PeriodData) -> tuple[tuple[complex, ...], ...]:
+    """The values u_1(z), ..., u_{2g+2}(z) at (Z, z), each a vector in C^g;
+    see the module docstring."""
     g, d, z = p.g, p.d, p.z
     h = g - 1
     pad = (0j,) * (h - 1)
@@ -268,7 +256,7 @@ def lattice_sections(p: PeriodData) -> LatticeSections:
     u.append(pad + (0j, 1 + 0j))  # u_{2g}
     u.append(pad + (1 + 0j, z / d))  # u_{2g+1}
     u.append(tuple(v / d for v in p.Z[h - 1]) + (complex(1.0 / d),))  # u_{2g+2}
-    return LatticeSections(u=tuple(u))
+    return tuple(u)
 
 
 @dataclass(frozen=True)
@@ -278,12 +266,6 @@ class PeriodMatrix:
     T: ComplexMatrix
     basis_labels: tuple[str, ...]
 
-    def array(self):
-        """T as a numpy array."""
-        import numpy as np
-
-        return np.array(self.T, dtype=complex)
-
 
 def period_matrix(p: PeriodData) -> PeriodMatrix:
     """Express the alpha-periods in the beta-frame and verify the Riemann
@@ -292,7 +274,7 @@ def period_matrix(p: PeriodData) -> PeriodMatrix:
     if p._period_matrix is not None:
         return p._period_matrix
     g, d = p.g, p.d
-    u = lattice_sections(p).u
+    u = lattice_sections(p)
     alphas = (*u[: g - 2], u[2 * g + 1], u[2 * g])
     betas = u[g : 2 * g]
     t = _solve(_transpose(betas), _transpose(alphas))
@@ -368,8 +350,8 @@ def gamma_action_defect(p: PeriodData, m: IntMatrix) -> float:
     p_new, l_mat = gamma_action(p, m)
     scale = m[1, 0] * p.z + m[1, 1]
     n = 2 * p.g
-    old = lattice_sections(p).u[:n]
-    new = lattice_sections(p_new).u[:n]
+    old = lattice_sections(p)[:n]
+    new = lattice_sections(p_new)[:n]
     phis = [v[:-1] + (v[-1] / scale,) for v in old]
     images = [
         [sum(c * new[j][k] for j, c in enumerate(col) if c) for k in range(p.g)]

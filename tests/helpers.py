@@ -23,7 +23,6 @@ from fibsurf import (
     gram_in_basis,
     invert_unimodular,
     mat_vec,
-    solve_integer,
 )
 
 SL2_S = IntMatrix([[0, -1], [1, 0]])
@@ -200,7 +199,7 @@ def reference_change_basis(b, m, d):
         combo([new_u_g, b.u(2 * g - 1)], [1, 1]),
         combo([new_u_2g, b.u(g - 1)], [1, 1]),
     ])
-    coords = solve_integer(old_basis, numerators)
+    coords = Factored(old_basis).solve(numerators)
     if coords is None:  # they manifestly lie in the span
         raise PostconditionFailed("numerators do not lie in U")
     if any(c % d for row in coords.entries() for c in row):

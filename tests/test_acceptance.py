@@ -176,7 +176,7 @@ def test_criterion_6_period_family_checks():
             assert restricted == coprincipal_type(g - 1, d), (g, d)
             for _ in range(50):
                 p = _random_period_point(rng, g, d)
-                t = period_matrix(p).array()
+                t = np.array(period_matrix(p).T)
                 assert float(np.max(np.abs(t - t.T))) < 1e-9, (g, d)
                 eigs = np.linalg.eigvalsh((t.imag + t.imag.T) / 2.0)
                 assert eigs.min() > 0, (g, d)

@@ -29,7 +29,6 @@ from fibsurf import (
     gram_in_basis,
     is_adapted_basis,
     pairing,
-    rank,
     smith_normal_form,
 )
 from helpers import (
@@ -124,13 +123,11 @@ def test_adapted_basis_gram_is_block_normal():
 
 def test_inclusion_smith_form_is_bicyclic():
     """Coordinates of U_A + U_E inside U have Smith form (1,..,1,d,d)."""
-    from fibsurf import solve_integer
-
     rng = Random(404)
     for g, d in SMALL_CASES:
         p = randomized_problem(rng, g, d)
         joint = IntMatrix.from_columns(p.U_A.columns() + p.U_E.columns())
-        coords = solve_integer(p.U, joint)
+        coords = Factored(p.U).solve(joint)
         assert coords is not None
         diag = smith_normal_form(coords).diagonal()
         assert diag == (1,) * (2 * g - 2) + (d, d), (g, d)
@@ -258,7 +255,7 @@ def basis_moves(draw):
         n = 2 * g + draw(st.integers(0, 1))
         entries = st.lists(st.integers(-6, 6), min_size=n, max_size=n)
         vectors = draw(st.lists(entries.map(tuple), min_size=2 * g, max_size=2 * g))
-        assume(rank(IntMatrix.from_columns(vectors)) == 2 * g)
+        assume(Factored(IntMatrix.from_columns(vectors)).rank() == 2 * g)
         b = AdaptedBasis(g=g, d=d, vectors=tuple(vectors))
     m = random_gamma_d_element(rng, d) if draw(st.booleans()) else random_sl2_word(rng)
     return b, m, draw(st.sampled_from([d, d, d, d + 1, 2 * d]))
@@ -341,6 +338,13 @@ def test_change_basis_rejects_bad_matrices():
         change_basis(b, IntMatrix([[0, 1], [1, 0]]), 3)  # det -1
     with pytest.raises(DimensionMismatch):
         change_basis(b, IntMatrix.identity(3), 3)
+
+
+@pytest.mark.parametrize("d", [0, 1, -3])
+def test_change_basis_rejects_degree_below_two(d):
+    b = construct_adapted_basis(canonical_problem(2, 3))
+    with pytest.raises(DimensionMismatch, match="d >= 2"):
+        change_basis(b, IntMatrix.identity(2), d)
 
 
 def test_adapted_basis_index_bounds():

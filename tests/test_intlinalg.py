@@ -7,14 +7,13 @@ import sympy
 
 from fibsurf import (
     DimensionMismatch,
+    Factored,
     IntMatrix,
     NotUnimodular,
     char_poly,
     column_lattice_basis,
     invert_unimodular,
-    rank,
     smith_normal_form,
-    solve_integer,
     xgcd,
 )
 from helpers import random_unimodular
@@ -132,10 +131,10 @@ def test_rank_against_sympy():
         rows = rng.randint(1, 5)
         cols = rng.randint(1, 5)
         m = random_matrix(rng, rows, cols, bound=4)
-        assert rank(m) == sympy.Matrix(m.tolists()).rank()
+        assert Factored(m).rank() == sympy.Matrix(m.tolists()).rank()
 
 
-def test_solve_integer_round_trip():
+def test_factored_solve_round_trip():
     rng = Random(108)
     hits = 0
     for _ in range(80):
@@ -143,17 +142,17 @@ def test_solve_integer_round_trip():
         a = random_matrix(rng, n, n, bound=5)
         x = random_matrix(rng, n, rng.randint(1, 3), bound=5)
         b = a * x
-        sol = solve_integer(a, b)
+        sol = Factored(a).solve(b)
         if sol is not None:
             assert a * sol == b
             hits += 1
     assert hits > 40  # most constructed systems must be recognized
 
 
-def test_solve_integer_no_solution():
+def test_factored_solve_no_solution():
     a = IntMatrix([[2, 0], [0, 2]])
     b = IntMatrix([[1], [1]])
-    assert solve_integer(a, b) is None
+    assert Factored(a).solve(b) is None
 
 
 def test_invert_unimodular():
@@ -179,15 +178,15 @@ def test_column_lattice_basis_spans_same_lattice():
         cols = rng.randint(1, 5)
         m = random_matrix(rng, rows, cols, bound=4)
         basis = column_lattice_basis(m)
-        assert len(basis) == rank(m)
+        assert len(basis) == Factored(m).rank()
         if not basis:
             assert m.is_zero()
             continue
         b = IntMatrix.from_columns(basis)
         # every original column is an integer combination of the basis ...
-        assert solve_integer(b, m) is not None
+        assert Factored(b).solve(m) is not None
         # ... and conversely
-        assert solve_integer(m, b) is not None
+        assert Factored(m).solve(b) is not None
 
 
 def test_mat_vec_and_pairing():

@@ -230,3 +230,39 @@ def test_conjugacy_invariants_reject_odd_dimension():
 def test_non_symplectic_input_rejected():
     with pytest.raises(NotSymplectic):
         conjugacy_invariants(IntMatrix([[2, 0], [0, 2]]))
+
+
+@st.composite
+def transvection_products(draw):
+    """Products of symplectic transvections x -> x + k (x, v) v on Z^(2g),
+    g <= 4.  Half of them are along a single vector, so unipotent matrices
+    are common; products along several vectors often are not."""
+    g = draw(st.integers(1, 4))
+    n = 2 * g
+    vector = st.lists(st.integers(-2, 2), min_size=n, max_size=n)
+    if draw(st.booleans()):
+        vectors = [draw(vector)]
+    else:
+        vectors = draw(st.lists(vector, min_size=2, max_size=4))
+    j = standard_symplectic_gram(g)
+    m = IntMatrix.identity(n)
+    for v in vectors:
+        col = IntMatrix([[x] for x in v])
+        k = draw(st.integers(-2, 2))
+        # (x, v) = x^T J v, so the transvection is I + k v (J v)^T = I - k v v^T J
+        m = m * (IntMatrix.identity(n) - (col * col.transpose() * j).scale(k))
+    return m
+
+
+@settings(max_examples=300, deadline=None)
+@given(transvection_products())
+def test_unipotent_matches_nilpotent_power(m):
+    """Unipotency read off the characteristic polynomial agrees with
+    (M - I)^n = 0, the power taken by repeated products."""
+    n = m.rows
+    assert is_symplectic(m, n // 2)
+    nilpart = m - IntMatrix.identity(n)
+    power = nilpart
+    for _ in range(n - 1):
+        power = power * nilpart
+    assert conjugacy_invariants(m).unipotent == power.is_zero()

@@ -1,5 +1,6 @@
 """The package runs without numpy: importing it does not load numpy, and no
-module imports numpy at module level (the tests keep numpy as an oracle)."""
+module imports numpy anywhere, lazily inside a function included (the tests
+keep numpy as an oracle)."""
 
 import os
 import re
@@ -26,8 +27,8 @@ def test_import_leaves_numpy_unloaded():
     assert proc.stdout.strip() == "False"
 
 
-def test_no_module_level_numpy_import():
-    pattern = re.compile(r"^(import numpy|from numpy)\b", re.MULTILINE)
+def test_no_numpy_import_in_package():
+    pattern = re.compile(r"^[ \t]*(import numpy|from numpy)\b", re.MULTILINE)
     sources = sorted(PACKAGE.glob("*.py"))
     assert sources
     offenders = [p.name for p in sources if pattern.search(p.read_text(encoding="utf-8"))]

@@ -80,7 +80,7 @@ def test_period_data_accepts_small_im_z():
     Cholesky pivot is compared with tol, so its size does not matter."""
     for g, z_mat in ((2, ((1e-10j,),)), (3, ((1e-10j, 0), (0, 2e-12j)))):
         p = PeriodData(g=g, d=3, Z=z_mat, z=1j)
-        t = period_matrix(p).array()
+        t = np.array(period_matrix(p).T)
         assert np.linalg.eigvalsh((t.imag + t.imag.T) / 2).min() > 0
 
 
@@ -171,9 +171,9 @@ def test_sections_frozen_example():
         (0, 1, i / 3),
         (0, i / 3, 1 / 3),
     ]
-    assert len(secs.u) == 8
+    assert len(secs) == 8
     for k, want in enumerate(expected, start=1):
-        got = secs.vector(k)
+        got = np.array(secs[k - 1])
         assert np.max(np.abs(got - np.array(want))) < 1e-12, f"u_{k}"
 
 
@@ -183,13 +183,13 @@ def test_sections_glue_relations():
     for g in (2, 3):
         for d in (2, 3, 5):
             p = random_point(rng, g, d)
-            s = lattice_sections(p)
-            lhs = d * s.vector(2 * g + 1)
-            rhs = s.vector(2 * g - 1) + s.vector(g)
-            assert np.max(np.abs(lhs - rhs)) < 1e-12
-            lhs = d * s.vector(2 * g + 2)
-            rhs = s.vector(2 * g) + s.vector(g - 1)
-            assert np.max(np.abs(lhs - rhs)) < 1e-12
+            s = np.array(lattice_sections(p))
+
+            def u(k):  # 1-based, as in the formulas
+                return s[k - 1]
+
+            assert np.max(np.abs(d * u(2 * g + 1) - u(2 * g - 1) - u(g))) < 1e-12
+            assert np.max(np.abs(d * u(2 * g + 2) - u(2 * g) - u(g - 1))) < 1e-12
 
 
 # ------------------------------------------------------------- period matrix
@@ -197,7 +197,7 @@ def test_sections_glue_relations():
 
 def test_period_matrix_frozen_example():
     p = reference_point(3, 3)
-    t = period_matrix(p).array()
+    t = np.array(period_matrix(p).T)
     want = np.diag([1j, 1j / 9, 1j / 3])
     want[1, 2] = want[2, 1] = 1.0 / 3
     assert np.max(np.abs(t - want)) < 1e-12
@@ -209,7 +209,7 @@ def test_period_matrix_riemann_relations():
         for d in (3, 4, 5):
             for _ in range(5):
                 p = random_point(rng, g, d)
-                t = period_matrix(p).array()
+                t = np.array(period_matrix(p).T)
                 assert np.max(np.abs(t - t.T)) <= p.tol
                 eigs = np.linalg.eigvalsh((t.imag + t.imag.T) / 2)
                 assert eigs.min() > 0
@@ -223,7 +223,7 @@ def test_period_matrix_large_degree():
         for d in (10**5, 10**8):
             points = [reference_point(g, d)] + [random_point(rng, g, d) for _ in range(3)]
             for p in points:
-                t = period_matrix(p).array()
+                t = np.array(period_matrix(p).T)
                 assert abs(t[g - 1, g - 2] - 1.0 / d) <= p.tol
                 eigs = np.linalg.eigvalsh((t.imag + t.imag.T) / 2)
                 assert eigs.min() > 0
@@ -484,7 +484,7 @@ def test_siegel_action_matches_numpy():
     rng = Random(507)
     for g in (2, 3):
         for d in (3, 5):
-            t = period_matrix(random_point(rng, g, d)).array()
+            t = np.array(period_matrix(random_point(rng, g, d)).T)
             for _ in range(10):
                 m = random_symplectic(rng, g)
                 got = siegel_action(m, t.tolist())

@@ -76,7 +76,7 @@ def test_construction_internal_check(monkeypatch):
 
 
 def test_invert_unimodular_internal_check(monkeypatch):
-    monkeypatch.setattr(fibsurf.intlinalg, "solve_integer", lambda a, b: None)
+    monkeypatch.setattr(fibsurf.intlinalg.Factored, "solve", lambda self, b: None)
     with pytest.raises(PostconditionFailed, match="no integral inverse"):
         invert_unimodular(IntMatrix([[2, 1], [1, 1]]))
 
