@@ -63,13 +63,14 @@ from .errors import (
     QuotientNotBicyclic,
 )
 from .intlinalg import (
-    Factored,
     IntMatrix,
+    SmithForm,
     column_lattice_basis,
     combo,
     gram_in_basis,
     mat_vec,
     pairing,
+    smith_normal_form,
     xgcd,
 )
 from .lattice_core import (
@@ -107,8 +108,8 @@ class AdaptedBasisProblem:
     U_E: IntMatrix
 
     @cached_property
-    def factored_U(self) -> Factored:
-        return Factored(self.U)
+    def factored_U(self) -> SmithForm:
+        return smith_normal_form(self.U)
 
 
 class _NotAdapted:
@@ -314,15 +315,16 @@ def construct_adapted_basis(p: AdaptedBasisProblem) -> AdaptedBasis:
     x = basis_e.column(0)  # (x, y) = d
 
     # quotient U / W via the Smith form S W T = D of the inclusion
-    w = Factored(_column_matrix(cols_a + basis_e.columns()))
+    frame = _column_matrix(cols_a + basis_e.columns())
+    w = smith_normal_form(frame)
     expected = (1,) * n_a + (d, d)
-    if w.diag != expected:
+    if w.diagonal() != expected:
         raise QuotientNotBicyclic(
-            f"U/(U_A + U_E) has invariant factors {w.diag}, expected {expected}"
+            f"U/(U_A + U_E) has invariant factors {w.diagonal()}, expected {expected}"
         )
     # W T = S^-1 D: the generators v1, v2 are columns 2g-2, 2g-1 of S^-1,
     # where D is d, so c(v1), c(v2) are the same columns of T
-    c1, c2 = w.snf.t.column(n_a), w.snf.t.column(n_a + 1)
+    c1, c2 = w.t.column(n_a), w.t.column(n_a + 1)
     # the frame is a symplectic normal form, so its Gram matrix is known:
     # [[0, D], [-D, 0]] on U_A, D = diag(1, ..., 1, d), and (x, y) = d
     gram_a = block_normal_gram(coprincipal_type(g - 1, d))
@@ -411,7 +413,7 @@ def construct_adapted_basis(p: AdaptedBasisProblem) -> AdaptedBasis:
         k_ambient = [mat_vec(k_mat, c) for c in basis_k.columns()]
     k_e, k_f = k_ambient[: g - 2], k_ambient[g - 2 :]
 
-    v1, v2 = (_divided(mat_vec(w.a, c), d) for c in (c1, c2))
+    v1, v2 = (_divided(mat_vec(frame, c), d) for c in (c1, c2))
     a2, x, v1, v2 = (mat_vec(p.U, v) for v in (a2, x, v1, v2))
     vectors = tuple(k_e) + (a2, x) + tuple(k_f) + (v1, v2)
     result = AdaptedBasis(g=g, d=d, vectors=vectors)

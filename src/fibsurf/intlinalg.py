@@ -18,10 +18,10 @@ Conventions:
     is converted with :func:`from_columns` / :meth:`IntMatrix.columns`.
   * ``smith_normal_form`` returns the diagonal together with *all four*
     transition matrices (S, T and their inverses), since quotient-group
-    computations need the inverse of the row transform.
-  * ``Factored(a)`` is the one integral solver: it holds one Smith form of
-    ``a`` and answers ``solve(b)`` and ``rank()`` from it, so a caller that
-    solves several systems against the same matrix factors it once.
+    computations need the inverse of the row transform.  It is the one way
+    to factor a matrix: the ``SmithForm`` answers ``solve(b)`` and
+    ``rank()`` itself, so a caller that solves several systems against the
+    same matrix factors it once.
 """
 
 from __future__ import annotations
@@ -265,6 +265,32 @@ class SmithForm(NamedTuple):
         n = min(self.d.rows, self.d.cols)
         return tuple(self.d[i, i] for i in range(n))
 
+    def rank(self) -> int:
+        return sum(1 for x in self.diagonal() if x != 0)
+
+    def solve(self, b: IntMatrix) -> IntMatrix | None:
+        """Solve A * x = b over the integers; None when no integral solution.
+
+        A * x = b  <=>  D * (T^-1 x) = S * b, so x = T * y where
+        y_i = (S b)_i / d_i must be integral, and (S b)_i must vanish wherever
+        d_i = 0.  ``b`` may have several columns (solved simultaneously).
+        """
+        if self.s.cols != b.rows:
+            raise DimensionMismatch("solve: row counts differ")
+        diag = self.diagonal()
+        y = [(0,) * b.cols] * self.t.rows
+        for i, row in enumerate((self.s * b).entries()):
+            d = diag[i] if i < len(diag) else 0
+            if d == 0:
+                if any(row):
+                    return None
+                continue
+            qr = [divmod(v, d) for v in row]
+            if any(r for _, r in qr):
+                return None
+            y[i] = tuple(q for q, _ in qr)
+        return self.t * IntMatrix._of(tuple(y))
+
 
 def smith_normal_form(m: IntMatrix) -> SmithForm:
     """Smith normal form with transition matrices.
@@ -374,55 +400,16 @@ def smith_normal_form(m: IntMatrix) -> SmithForm:
     return SmithForm(*(IntMatrix._of(tuple(map(tuple, x))) for x in (a, s, t, s_inv, t_inv)))
 
 
-class Factored:
-    """One Smith form S * A * T = D of a matrix A, reused for every solve.
-
-    A * x = b  <=>  D * (T^-1 x) = S * b, so x = T * y where y_i = (S b)_i / d_i
-    must be integral, and (S b)_i must vanish wherever d_i = 0.
-    """
-
-    __slots__ = ("a", "snf", "diag")
-
-    def __init__(self, a: IntMatrix):
-        self.a = a
-        self.snf = smith_normal_form(a)
-        self.diag = self.snf.diagonal()
-
-    def rank(self) -> int:
-        return sum(1 for x in self.diag if x != 0)
-
-    def solve(self, b: IntMatrix) -> IntMatrix | None:
-        """Solve A * x = b over the integers; None when no integral solution.
-
-        ``b`` may have several columns (solved simultaneously).
-        """
-        a = self.a
-        if a.rows != b.rows:
-            raise DimensionMismatch("solve: row counts differ")
-        diag = self.diag
-        y = [(0,) * b.cols] * a.cols
-        for i, row in enumerate((self.snf.s * b).entries()):
-            d = diag[i] if i < len(diag) else 0
-            if d == 0:
-                if any(row):
-                    return None
-                continue
-            qr = [divmod(v, d) for v in row]
-            if any(r for _, r in qr):
-                return None
-            y[i] = tuple(q for q, _ in qr)
-        return self.snf.t * IntMatrix._of(tuple(y))
-
-
 def invert_unimodular(m: IntMatrix) -> IntMatrix:
     """Exact inverse of a matrix with determinant +-1."""
     d = m.det()
     if d not in (1, -1):
         raise NotUnimodular(f"determinant is {d}, not a unit")
-    x = Factored(m).solve(IntMatrix.identity(m.rows))
-    if x is None:
+    # S m T = I when every invariant factor is 1, so m^-1 = T S
+    snf = smith_normal_form(m)
+    if any(x != 1 for x in snf.diagonal()):
         raise PostconditionFailed("a unimodular matrix has no integral inverse")
-    return x
+    return snf.t * snf.s
 
 
 def column_lattice_basis(m: IntMatrix) -> list[tuple[int, ...]]:

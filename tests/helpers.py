@@ -12,7 +12,6 @@ from fibsurf import (
     AdaptedBasisProblem,
     AlternatingForm,
     DimensionMismatch,
-    Factored,
     IntMatrix,
     NotUnimodular,
     PostconditionFailed,
@@ -23,6 +22,7 @@ from fibsurf import (
     gram_in_basis,
     invert_unimodular,
     mat_vec,
+    smith_normal_form,
 )
 
 SL2_S = IntMatrix([[0, -1], [1, 0]])
@@ -165,7 +165,7 @@ def reference_is_adapted_basis(p, b) -> bool:
     # (2) u_1..u_{g-1}, u_{g+1}..u_{2g-1} is a symplectic basis of U_A of
     #     type (1, ..., 1, d)
     part_a = IntMatrix.from_columns(b.u_a_part())
-    coords_a = Factored(p.U_A).solve(part_a)
+    coords_a = smith_normal_form(p.U_A).solve(part_a)
     if coords_a is None or coords_a.det() not in (1, -1):
         return False
     if gram_in_basis(p.form.gram, part_a) != block_normal_gram(coprincipal_type(g - 1, d)):
@@ -173,7 +173,7 @@ def reference_is_adapted_basis(p, b) -> bool:
 
     # (3) u_g, u_{2g} is a symplectic basis of U_E of type (d)
     part_e = IntMatrix.from_columns(list(b.u_e_part()))
-    coords_e = Factored(p.U_E).solve(part_e)
+    coords_e = smith_normal_form(p.U_E).solve(part_e)
     if coords_e is None or coords_e.det() not in (1, -1):
         return False
     if gram_in_basis(p.form.gram, part_e) != IntMatrix([[0, d], [-d, 0]]):
@@ -199,7 +199,7 @@ def reference_change_basis(b, m, d):
         combo([new_u_g, b.u(2 * g - 1)], [1, 1]),
         combo([new_u_2g, b.u(g - 1)], [1, 1]),
     ])
-    coords = Factored(old_basis).solve(numerators)
+    coords = smith_normal_form(old_basis).solve(numerators)
     if coords is None:  # they manifestly lie in the span
         raise PostconditionFailed("numerators do not lie in U")
     if any(c % d for row in coords.entries() for c in row):

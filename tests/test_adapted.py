@@ -14,12 +14,12 @@ from fibsurf import (
     AdaptedBasisProblem,
     AlternatingForm,
     DimensionMismatch,
-    Factored,
     IntMatrix,
     InvalidArgument,
     InvariantViolation,
     NotUnimodular,
     QuotientNotBicyclic,
+    SmithForm,
     canonical_problem,
     change_basis,
     combo,
@@ -127,7 +127,7 @@ def test_inclusion_smith_form_is_bicyclic():
     for g, d in SMALL_CASES:
         p = randomized_problem(rng, g, d)
         joint = IntMatrix.from_columns(p.U_A.columns() + p.U_E.columns())
-        coords = Factored(p.U).solve(joint)
+        coords = smith_normal_form(p.U).solve(joint)
         assert coords is not None
         diag = smith_normal_form(coords).diagonal()
         assert diag == (1,) * (2 * g - 2) + (d, d), (g, d)
@@ -255,7 +255,7 @@ def basis_moves(draw):
         n = 2 * g + draw(st.integers(0, 1))
         entries = st.lists(st.integers(-6, 6), min_size=n, max_size=n)
         vectors = draw(st.lists(entries.map(tuple), min_size=2 * g, max_size=2 * g))
-        assume(Factored(IntMatrix.from_columns(vectors)).rank() == 2 * g)
+        assume(smith_normal_form(IntMatrix.from_columns(vectors)).rank() == 2 * g)
         b = AdaptedBasis(g=g, d=d, vectors=tuple(vectors))
     m = random_gamma_d_element(rng, d) if draw(st.booleans()) else random_sl2_word(rng)
     return b, m, draw(st.sampled_from([d, d, d, d + 1, 2 * d]))
@@ -296,13 +296,13 @@ def test_verification_is_remembered_per_problem_object(monkeypatch):
     p = randomized_problem(Random(408), 3, 4)
     b = construct_adapted_basis(p)
     solves = [0]
-    original = Factored.solve
+    original = SmithForm.solve
 
     def counted(self, rhs):
         solves[0] += 1
         return original(self, rhs)
 
-    monkeypatch.setattr(Factored, "solve", counted)
+    monkeypatch.setattr(SmithForm, "solve", counted)
     assert is_adapted_basis(p, b) and solves[0] == 0
     q, fresh = replace(p), AdaptedBasis(g=b.g, d=b.d, vectors=b.vectors)
     assert q == p and q is not p

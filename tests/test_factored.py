@@ -1,5 +1,6 @@
-"""The factor-once exact core: ``Factored``, the trusted ``IntMatrix._of``
-path, and one Smith form per lattice in the adapted-basis pipeline."""
+"""The factor-once exact core: ``SmithForm.solve`` and ``rank``, the trusted
+``IntMatrix._of`` path, and one Smith form per lattice in the adapted-basis
+pipeline."""
 
 from random import Random
 
@@ -11,8 +12,8 @@ from hypothesis import strategies as st
 import fibsurf
 from fibsurf import (
     DimensionMismatch,
-    Factored,
     IntMatrix,
+    SmithForm,
     change_basis,
     construct_adapted_basis,
     is_adapted_basis,
@@ -51,7 +52,7 @@ def _all_int(m: IntMatrix) -> bool:
 @given(systems())
 def test_factored_solve_certificate(system):
     a, b, solvable = system
-    f = Factored(a)
+    f = smith_normal_form(a)
     x = f.solve(b)
     assert f.rank() == sympy.Matrix(a.tolists()).rank()
     if solvable:
@@ -131,7 +132,7 @@ def test_public_constructor_still_validates():
 
 def test_solve_row_mismatch_raises():
     with pytest.raises(DimensionMismatch):
-        Factored(IntMatrix.identity(2)).solve(IntMatrix.identity(3))
+        smith_normal_form(IntMatrix.identity(2)).solve(IntMatrix.identity(3))
 
 
 # --------------------------------------------------------- factor once
@@ -182,13 +183,13 @@ def test_solves_per_lattice_problem(monkeypatch, g, d, seed):
     rng = Random(seed)
     problem = randomized_problem(rng, g, d)
     calls = [0]
-    original = Factored.solve
+    original = SmithForm.solve
 
     def counted(self, b):
         calls[0] += 1
         return original(self, b)
 
-    monkeypatch.setattr(Factored, "solve", counted)
+    monkeypatch.setattr(SmithForm, "solve", counted)
     basis = construct_adapted_basis(problem)
     assert is_adapted_basis(problem, basis)
     change_basis(basis, random_sl2_word(rng), d)

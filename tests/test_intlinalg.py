@@ -7,7 +7,6 @@ import sympy
 
 from fibsurf import (
     DimensionMismatch,
-    Factored,
     IntMatrix,
     NotUnimodular,
     char_poly,
@@ -131,7 +130,7 @@ def test_rank_against_sympy():
         rows = rng.randint(1, 5)
         cols = rng.randint(1, 5)
         m = random_matrix(rng, rows, cols, bound=4)
-        assert Factored(m).rank() == sympy.Matrix(m.tolists()).rank()
+        assert smith_normal_form(m).rank() == sympy.Matrix(m.tolists()).rank()
 
 
 def test_factored_solve_round_trip():
@@ -142,7 +141,7 @@ def test_factored_solve_round_trip():
         a = random_matrix(rng, n, n, bound=5)
         x = random_matrix(rng, n, rng.randint(1, 3), bound=5)
         b = a * x
-        sol = Factored(a).solve(b)
+        sol = smith_normal_form(a).solve(b)
         if sol is not None:
             assert a * sol == b
             hits += 1
@@ -152,7 +151,7 @@ def test_factored_solve_round_trip():
 def test_factored_solve_no_solution():
     a = IntMatrix([[2, 0], [0, 2]])
     b = IntMatrix([[1], [1]])
-    assert Factored(a).solve(b) is None
+    assert smith_normal_form(a).solve(b) is None
 
 
 def test_invert_unimodular():
@@ -178,15 +177,15 @@ def test_column_lattice_basis_spans_same_lattice():
         cols = rng.randint(1, 5)
         m = random_matrix(rng, rows, cols, bound=4)
         basis = column_lattice_basis(m)
-        assert len(basis) == Factored(m).rank()
+        assert len(basis) == smith_normal_form(m).rank()
         if not basis:
             assert m.is_zero()
             continue
         b = IntMatrix.from_columns(basis)
         # every original column is an integer combination of the basis ...
-        assert Factored(b).solve(m) is not None
+        assert smith_normal_form(b).solve(m) is not None
         # ... and conversely
-        assert Factored(m).solve(b) is not None
+        assert smith_normal_form(m).solve(b) is not None
 
 
 def test_mat_vec_and_pairing():

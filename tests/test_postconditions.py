@@ -76,7 +76,14 @@ def test_construction_internal_check(monkeypatch):
 
 
 def test_invert_unimodular_internal_check(monkeypatch):
-    monkeypatch.setattr(fibsurf.intlinalg.Factored, "solve", lambda self, b: None)
+    """A Smith form of a unimodular matrix whose diagonal is not all ones."""
+    original = fibsurf.intlinalg.smith_normal_form
+
+    def non_unit_diagonal(m):
+        snf = original(m)
+        return snf._replace(d=snf.d.scale(2))
+
+    monkeypatch.setattr(fibsurf.intlinalg, "smith_normal_form", non_unit_diagonal)
     with pytest.raises(PostconditionFailed, match="no integral inverse"):
         invert_unimodular(IntMatrix([[2, 1], [1, 1]]))
 
