@@ -8,12 +8,14 @@ the classical fraction-free algorithms below are entirely adequate.
 Conventions:
   * ``IntMatrix`` is immutable; entries are stored row-major as a tuple of
     tuples.
-  * the public constructor ``IntMatrix(rows)`` coerces every entry with
-    ``int()`` and rejects empty or ragged input.  Matrices this module
-    produces itself (products, sums, transposes, Smith transforms, solutions)
-    are built with the trusted ``IntMatrix._of(rows)``, which takes a ready
-    non-empty tuple of equal-length int tuples and checks nothing.  Code
-    outside the package should use the public constructor.
+  * the public constructor ``IntMatrix(rows)`` takes ``int`` entries and
+    anything exactly integral (a bool, an integral float, a decimal string),
+    and refuses any other entry with ``InvalidArgument`` and empty or ragged
+    input with ``DimensionMismatch``.  Matrices this module produces itself
+    (products, sums, transposes, Smith transforms, solutions) are built
+    with the trusted ``IntMatrix._of(rows)``, which takes a ready non-empty
+    tuple of equal-length int tuples and checks nothing.  Code outside the
+    package should use the public constructor.
   * lattice vectors are plain tuples of ints; a matrix of column generators
     is converted with :func:`from_columns` / :meth:`IntMatrix.columns`.
   * ``smith_normal_form`` returns the diagonal together with *all four*
@@ -29,7 +31,7 @@ from __future__ import annotations
 from operator import mul
 from typing import Iterable, NamedTuple, Sequence
 
-from .errors import DimensionMismatch, NotUnimodular, PostconditionFailed
+from .errors import DimensionMismatch, InvalidArgument, NotUnimodular, PostconditionFailed
 
 
 def xgcd(a: int, b: int) -> tuple[int, int, int]:
@@ -53,7 +55,9 @@ class IntMatrix:
     __slots__ = ("rows", "cols", "_e")
 
     def __init__(self, entries: Iterable[Iterable[int]]):
-        rows = tuple(tuple(int(x) for x in row) for row in entries)
+        rows = tuple(map(tuple, entries))
+        if not all(type(x) is int for r in rows for x in r):
+            rows = tuple(tuple(map(_exact_int, r)) for r in rows)
         if not rows or not rows[0]:
             raise DimensionMismatch("matrix dimensions must be positive")
         width = len(rows[0])
@@ -219,6 +223,17 @@ class IntMatrix:
                 a[i][k] = 0
             prev = a[k][k]
         return sign * a[n - 1][n - 1]
+
+
+def _exact_int(x) -> int:
+    """``int(x)``, refused unless it is exactly x (a string only has to parse)."""
+    try:
+        v = int(x)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise InvalidArgument(f"matrix entry {x!r} is not an integer") from exc
+    if not isinstance(x, str) and v != x:
+        raise InvalidArgument(f"matrix entry {x!r} is not an integer")
+    return v
 
 
 # slot setters that bypass the immutability guard, for the trusted constructor

@@ -200,6 +200,10 @@ class PeriodData:
     )
 
     def __post_init__(self):
+        if not (isinstance(self.g, int) and isinstance(self.d, int)):
+            raise InvalidPeriodData(
+                f"genus and degree must be integers, got g={self.g!r}, d={self.d!r}"
+            )
         if self.g not in (2, 3):
             raise InvalidPeriodData(f"genus must be 2 or 3, got {self.g}")
         if self.d < 2:

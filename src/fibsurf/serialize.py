@@ -165,10 +165,7 @@ def parse_int_matrix(data) -> IntMatrix:
         want = (data.get("rows"), data.get("cols"))
         have = (len(rows), len(rows[0]))
         if all(w is not None for w in want):
-            try:
-                shape = tuple(int(w) for w in want)
-            except (TypeError, ValueError) as exc:
-                raise UsageError(f"malformed matrix shape {want}: {exc}") from exc
+            shape = tuple(read_int(w, "matrix shape") for w in want)
             if shape != have:
                 raise UsageError(f"matrix shape {have} does not match header {want}")
     from .intlinalg import IntMatrix

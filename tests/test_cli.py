@@ -481,7 +481,7 @@ def test_polarization_rejects_symmetric_matrix(capsys):
     assert json.loads(err)["error"] == "NotAlternating"
 
 
-@pytest.mark.parametrize("shape", ['"x"', "[2]"])
+@pytest.mark.parametrize("shape", ['"x"', "[2]", "2.9", "true"])
 def test_polarization_rejects_malformed_shape(capsys, shape):
     gram = '{"rows": %s, "cols": 2, "entries": [[0, 1], [-1, 0]]}' % shape
     code, out, err = run_cli(capsys, ["polarization", "--gram", gram])

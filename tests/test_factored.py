@@ -13,6 +13,7 @@ import fibsurf
 from fibsurf import (
     DimensionMismatch,
     IntMatrix,
+    InvalidArgument,
     SmithForm,
     change_basis,
     construct_adapted_basis,
@@ -128,6 +129,10 @@ def test_public_constructor_still_validates():
             bad_call()
     m = IntMatrix([[True, 2.0], ["3", 4]])
     assert m.entries() == ((1, 2), (3, 4)) and _all_int(m)
+    # an entry is refused unless it is exactly an integer, never truncated
+    for bad in (2.7, -2.7, "x", "3.0", float("nan"), float("inf"), None, 1j):
+        with pytest.raises(InvalidArgument):
+            IntMatrix([[0, bad], [1, 0]])
 
 
 def test_solve_row_mismatch_raises():

@@ -89,6 +89,10 @@ def test_period_data_validation():
         PeriodData(g=4, d=3, Z=((1j, 0), (0, 1j)), z=1j)
     with pytest.raises(InvalidPeriodData):
         PeriodData(g=3, d=1, Z=((1j, 0), (0, 1j)), z=1j)
+    with pytest.raises(InvalidPeriodData):  # non-integer degree
+        PeriodData(g=2, d=2.5, Z=((1j,),), z=1j)
+    with pytest.raises(InvalidPeriodData):  # non-integer genus
+        PeriodData(g=2.0, d=3, Z=((1j,),), z=1j)
     with pytest.raises(InvalidPeriodData):  # Z not symmetric
         PeriodData(g=3, d=3, Z=((1j, 0.5), (0.2, 1j)), z=1j)
     with pytest.raises(InvalidPeriodData):  # Im Z not positive definite
