@@ -55,7 +55,10 @@ class IntMatrix:
     __slots__ = ("rows", "cols", "_e")
 
     def __init__(self, entries: Iterable[Iterable[int]]):
-        rows = tuple(map(tuple, entries))
+        try:
+            rows = tuple(map(tuple, entries))
+        except TypeError as exc:
+            raise InvalidArgument(f"matrix rows must be sequences: {exc}") from exc
         if not all(type(x) is int for r in rows for x in r):
             rows = tuple(tuple(map(_exact_int, r)) for r in rows)
         if not rows or not rows[0]:

@@ -133,6 +133,9 @@ def test_public_constructor_still_validates():
     for bad in (2.7, -2.7, "x", "3.0", float("nan"), float("inf"), None, 1j):
         with pytest.raises(InvalidArgument):
             IntMatrix([[0, bad], [1, 0]])
+    for bad in ([1, 2], None, [[1, 2], 3]):
+        with pytest.raises(InvalidArgument):
+            IntMatrix(bad)
 
 
 def test_solve_row_mismatch_raises():
