@@ -11,8 +11,9 @@ Fractions left are ``SurfaceInvariants.delta`` and ``slope``.
 The identities (Noether, the signature formula, Riemann-Hurwitz, the chi
 and H derivations, the Euler fibre sums) and the inequalities drawn from
 them are written once, as the table ``_identities`` of (name, lhs, rhs) on
-ints.  Each public call factors d once and evaluates the whole table; a
-failure raises ``IdentityViolation`` with the name and both sides.
+ints.  A level is factored once while it stays in the bounded memo of
+J_2 in ``fibsurf.modular``, and every public call still evaluates the whole
+table; a failure raises ``IdentityViolation`` with the name and both sides.
 
 Conventions: chi means chi(O), K2 the self-intersection of the canonical
 class, tau the index (signature), H the number of hyperelliptic fibres,
@@ -34,7 +35,7 @@ from .errors import (
     LevelTooSmall,
     UnsupportedGenus,
 )
-from .modular import delta, modular_data
+from .modular import _read_level, delta, modular_data
 
 
 @dataclass(frozen=True)
@@ -123,7 +124,7 @@ def _fields(d: int) -> tuple:
     """(Delta_d, g(X), t, genus-2 fields, genus-3 fields) at level d, from
     one factoring of d.  The genus-2 fields are (s, c2, chi, K2), the
     genus-3 fields (g(B), c2, chi, K2, tau, H, lambda, delta0, delta1)."""
-    if d < 3:
+    if _read_level(d) < 3:
         raise LevelTooSmall(f"invariants need d >= 3, got {d}")
     data = modular_data(d)
     dl = data.delta
@@ -262,7 +263,7 @@ def moduli_dimension(g: int, b: int, m: int, d: int) -> int:
     """Dimension of the family of degree-m base changes from curves of
     genus b: 2b - 2 - m*(2g(X(d)) - 2) + 1 for fibre genus 2 and
     2b - m*(2g(B) - 2) + 3 for fibre genus 3."""
-    if d < 3:
+    if _read_level(d) < 3:
         raise LevelTooSmall(f"moduli dimensions need d >= 3, got {d}")
     if m < 1:
         raise InvalidArgument(f"cover degree must be >= 1, got {m}")
@@ -317,9 +318,9 @@ def run_identity_checks(d_lo: int = 3, d_hi: int = 100) -> list[tuple[str, bool]
     field that is not an integer at some level fails "tables_construct"
     and skips the identities of that level.
     """
-    if d_lo < 3:
+    if _read_level(d_lo) < 3:
         raise LevelTooSmall(f"identity checks need d >= 3, got {d_lo}")
-    if d_hi < d_lo:
+    if _read_level(d_hi) < d_lo:
         raise InvalidArgument("empty level range")
     ok = dict.fromkeys(_CHECKS, True)
     for d in range(d_lo, d_hi + 1):

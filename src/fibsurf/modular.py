@@ -33,28 +33,34 @@ odd diagonal, even off-diagonal - makes the reduction strict), then compare
 sigma with eps_a^(e_A) * eps_b^(e_B), where e_A, e_B are the exponent sums
 of the word (well defined modulo 2).
 
-FACTORING.  J_2(d) needs the primes dividing d, found once per call.  They
-are found by trial division by the primes below 100, then, for the
-cofactor, Miller-Rabin to the 13 prime bases 2..41, an integer k-th root
-test for perfect powers, and Brent's variant of Pollard rho (R. P. Brent,
-BIT 20, 1980).  Miller-Rabin to these bases proves primality below
-psi_13 = 3 317 044 064 679 887 385 961 981, the least strong pseudoprime to
-all of them (Sorenson and Webster, Math. Comp. 86, 2017), so every answer
-is exact; levels d >= psi_13 raise LevelTooLarge.  Squares and higher
-powers of primes never reach rho.  Rho needs about p^(1/2) steps for the
-smallest prime p of a composite that is no perfect power, so the running
-time is bounded over the whole domain: well under a millisecond for most
-levels, and about 3 s at worst (a product of two primes near 1.8e12).
+FACTORING.  J_2(d) needs the primes dividing d.  A level is factored once
+while it stays in a bounded memo of J_2 (the last _JORDAN2_MEMO levels
+asked about), so the calls of one question about one level share a single
+factoring; every public call still checks its level, builds its own answer
+and verifies it.  The primes are found by trial division by the primes
+below 100, then, for the cofactor, Miller-Rabin to the 13 prime bases
+2..41, an integer k-th root test for perfect powers, and Brent's variant
+of Pollard rho (R. P. Brent, BIT 20, 1980).  Miller-Rabin to these bases
+proves primality below psi_13 = 3 317 044 064 679 887 385 961 981, the
+least strong pseudoprime to all of them (Sorenson and Webster, Math. Comp.
+86, 2017), so every answer is exact; levels d >= psi_13 raise
+LevelTooLarge.  Squares and higher powers of primes never reach rho.  Rho
+needs about p^(1/2) steps for the smallest prime p of a composite that is
+no perfect power, so the running time is bounded over the whole domain:
+well under a millisecond for most levels, and about 3 s at worst (a product
+of two primes near 1.8e12).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from itertools import count
 from math import gcd, isqrt
 
 from .errors import (
+    InvalidArgument,
     InvalidCuspSet,
     LevelTooLarge,
     LevelTooSmall,
@@ -115,6 +121,8 @@ _SMALL_PRIMES = _MR_BASES + (43, 47, 53, 59, 61, 67, 71, 73, 79, 83, 89, 97)
 _SURELY_PRIME_BELOW = 101 * 101
 #: Steps of the rho iteration per gcd.
 _RHO_BATCH = 128
+#: Levels whose J_2 is remembered; one levels question asks about a handful.
+_JORDAN2_MEMO = 64
 
 
 def _is_prime(n: int) -> bool:
@@ -212,9 +220,23 @@ def _prime_factors(n: int) -> list[int]:
     return out + sorted(large)
 
 
+def _read_level(d) -> int:
+    """The level d, refused with InvalidArgument unless it is an int and no
+    bool.  Every entry point that takes a level reads it here first, so
+    that no float or bool level (equal to an int, and hashed alike) is ever
+    answered from the memo of _jordan2."""
+    if not isinstance(d, int) or isinstance(d, bool):
+        raise InvalidArgument(f"the level d must be an integer, got {d!r}")
+    return d
+
+
+@lru_cache(maxsize=_JORDAN2_MEMO)
 def _jordan2(d: int) -> int:
     """Jordan's totient J_2(d) = d^2 * prod over primes p | d of
-    (1 - 1/p^2), an integer, equal to 24 * Delta_d; for 1 <= d < PSI_13."""
+    (1 - 1/p^2), an integer, equal to 24 * Delta_d; for 1 <= d < PSI_13.
+    Memoized for the last _JORDAN2_MEMO levels; callers pass only levels
+    that _read_level accepted.  LevelTooLarge is not memoized, so it is
+    raised on every call."""
     if d >= PSI_13:
         raise LevelTooLarge(
             f"levels are factored exactly only below psi_13 = {PSI_13}, got {d}"
@@ -229,7 +251,7 @@ def _jordan2(d: int) -> int:
 def delta(d: int) -> Fraction:
     """Delta_d = J_2(d) / 24 = (d^2 / 24) * prod over primes p | d of
     (1 - 1/p^2), for 2 <= d < PSI_13."""
-    if d < 2:
+    if _read_level(d) < 2:
         raise LevelTooSmall(f"delta is defined for d >= 2, got {d}")
     return Fraction(_jordan2(d), 24)
 
@@ -238,7 +260,7 @@ def modular_data(d: int) -> ModularCurveData:
     """Genus and cusp count of X(d): g = (d-6)*Delta_d + 1, t = 12*Delta_d,
     for 3 <= d < PSI_13; each is one division by 24 of an integer multiple
     of J_2(d) = 24*Delta_d, checked to leave no remainder."""
-    if d < 3:
+    if _read_level(d) < 3:
         raise LevelTooSmall(f"modular data requires d >= 3, got {d}")
     j = _jordan2(d)
     genus, rg = divmod((d - 6) * j + 24, 24)
@@ -252,7 +274,10 @@ def modular_data(d: int) -> ModularCurveData:
 
 
 def gamma_d_contains(m: IntMatrix, d: int) -> bool:
-    """True iff m is in SL_2(Z) and congruent to the identity mod d."""
+    """True iff m is in SL_2(Z) and congruent to the identity mod d, for
+    d >= 1."""
+    if _read_level(d) < 1:
+        raise LevelTooSmall(f"Gamma(d) is defined for d >= 1, got {d}")
     if m.rows != 2 or m.cols != 2:
         return False
     a, b = m.row(0)

@@ -1,7 +1,7 @@
 """Factoring levels: trial division by small primes, deterministic
 Miller-Rabin, the perfect-power test and Pollard-Brent rho, checked against
-sympy; the psi_13 domain bound; and one factorization per public call in
-``invariants``."""
+sympy; the psi_13 domain bound; and the bounded memo of J_2, which factors
+a level once however many public calls ask about it."""
 
 import json
 import time
@@ -16,12 +16,13 @@ import fibsurf.cli as cli
 from fibsurf import (
     LevelTooLarge,
     delta,
+    euler_fibre_sum_check,
     invariants_g2,
     invariants_g3,
     modular_data,
     run_identity_checks,
 )
-from fibsurf.modular import PSI_13, _is_prime, _prime_factors
+from fibsurf.modular import PSI_13, _is_prime, _jordan2, _prime_factors
 
 # Strong pseudoprimes to the first k prime bases: psi_1 .. psi_8 (psi_5
 # coincides with psi_4 and is skipped), psi_9 = psi_10 = psi_11, and psi_12.
@@ -42,6 +43,12 @@ STRONG_PSEUDOPRIMES = (
 CHERNICK_K = tuple(
     k for k in range(1, 5000) if all(sympy.isprime(a * k + 1) for a in (6, 12, 18))
 )
+
+
+@pytest.fixture(autouse=True)
+def cold_memo():
+    """Each test starts with no level remembered, so a timed call factors."""
+    _jordan2.cache_clear()
 
 
 def expected_factors(n: int) -> list[int]:
@@ -231,11 +238,51 @@ def test_one_factorization_per_public_call(monkeypatch):
 
     monkeypatch.setattr(fibsurf.modular, "_prime_factors", counting)
     d = 10**9 + 7
-    for fn in (invariants_g2, invariants_g3, lambda d: run_identity_checks(d, d)):
+    for fn in (
+        invariants_g2,
+        invariants_g3,
+        lambda d: run_identity_checks(d, d),
+        lambda d: euler_fibre_sum_check(invariants_g3(d)),
+    ):
+        _jordan2.cache_clear()
         calls.clear()
         fn(d)
-        assert calls == [d]
+        assert calls == [d]  # a cold call factors exactly once
     # the three public calls of one operation of the levels benchmark
+    _jordan2.cache_clear()
     calls.clear()
     invariants_g2(d), invariants_g3(d), run_identity_checks(d, d)
-    assert calls == [d] * 3
+    assert calls == [d]
+
+
+def _expected_modular_data(d: int) -> tuple:
+    dl = expected_delta(d)
+    return d, (d - 6) * dl + 1, 12 * dl, dl
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.one_of(st.integers(3, 10**15), balanced_semiprimes(), carmichael))
+def test_memo_changes_no_answer(d):
+    _jordan2.cache_clear()
+    expected = _expected_modular_data(d)
+    for cold in (True, False):
+        misses = _jordan2.cache_info().misses
+        data = modular_data(d)
+        assert (data.d, data.genus, data.cusps, data.delta) == expected
+        assert delta(d) == expected[3]
+        # only the first modular_data computes J_2; the rest read the memo
+        assert _jordan2.cache_info().misses == misses + cold
+
+
+def test_memo_stays_bounded():
+    bound = _jordan2.cache_info().maxsize
+    assert bound is not None
+    run_identity_checks(3, 3002)
+    assert 0 < _jordan2.cache_info().currsize <= bound
+
+
+def test_too_large_level_is_refused_on_every_call():
+    for _ in range(2):
+        with pytest.raises(LevelTooLarge, match="psi_13"):
+            delta(PSI_13)
+    assert _jordan2.cache_info().currsize == 0

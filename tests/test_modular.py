@@ -15,6 +15,7 @@ from fibsurf import (
     REGULAR,
     REGULAR_STABILIZER,
     IntMatrix,
+    InvalidArgument,
     InvalidCuspSet,
     LevelTooSmall,
     UnsupportedCusp,
@@ -22,10 +23,14 @@ from fibsurf import (
     delta,
     gamma2_complement_contains,
     gamma_d_contains,
+    invariants_g2,
+    invariants_g3,
     invert_unimodular,
     modular_data,
+    moduli_dimension,
     normalize_cusp,
     normalize_cusp_set,
+    run_identity_checks,
 )
 from helpers import random_gamma_d_element, random_sl2_word
 
@@ -109,6 +114,52 @@ def test_gamma_d_closure_under_products_and_inverse():
             assert gamma_d_contains(a, d)
             assert gamma_d_contains(a * b, d)
             assert gamma_d_contains(invert_unimodular(a), d)
+
+
+I2 = IntMatrix.identity(2)
+
+
+@pytest.mark.parametrize(
+    "call, error",
+    [
+        (lambda: delta(7.0), InvalidArgument),
+        (lambda: modular_data(9.0), InvalidArgument),
+        (lambda: invariants_g2(3.5), InvalidArgument),
+        (lambda: invariants_g3(True), InvalidArgument),
+        (lambda: run_identity_checks(3.5, 4), InvalidArgument),
+        (lambda: run_identity_checks(3, 4.0), InvalidArgument),
+        (lambda: moduli_dimension(2, 5, 1, 4.0), InvalidArgument),
+        (lambda: delta(True), InvalidArgument),
+        (lambda: modular_data("7"), InvalidArgument),
+        (lambda: gamma_d_contains(I2, 2.5), InvalidArgument),
+        (lambda: gamma_d_contains(I2, 0), LevelTooSmall),
+        (lambda: gamma_d_contains(I2, -3), LevelTooSmall),
+    ],
+    ids=[
+        "delta-float", "modular_data-float", "g2-float", "g3-bool",
+        "checks-float-lo", "checks-float-hi", "moduli-float", "delta-bool",
+        "modular_data-str", "gamma-float", "gamma-zero", "gamma-negative",
+    ],
+)
+def test_levels_that_are_not_ints_or_too_small_are_refused(call, error):
+    with pytest.raises(error):
+        call()
+
+
+def test_float_level_is_refused_after_the_int_level_is_remembered():
+    """7.0 == 7 and hash(7.0) == hash(7): only the reader keeps the float
+    from being answered out of the memo the int call filled."""
+    assert delta(7) == Fraction(2)
+    with pytest.raises(InvalidArgument):
+        delta(7.0)
+    assert modular_data(5).genus == 0
+    with pytest.raises(InvalidArgument):
+        modular_data(5.0)
+
+
+def test_gamma_1_is_sl2():
+    assert gamma_d_contains(IntMatrix([[2, 1], [1, 1]]), 1)
+    assert not gamma_d_contains(IntMatrix([[2, 1], [1, 2]]), 1)
 
 
 def test_normalize_cusp_variants():
