@@ -2,7 +2,8 @@
 
 Each error carries a stable machine-readable ``code`` (used by the CLI's JSON
 error output) equal to the class name.  All domain errors derive from
-:class:`DomainError`, so callers can catch one type.
+:class:`DomainError`, so callers can catch one type.  ``_int_argument`` is
+the one check that an integer argument is an int, shared by every layer.
 """
 
 from __future__ import annotations
@@ -128,6 +129,15 @@ class UnsupportedGenus(DomainError):
 
 class InvalidArgument(DomainError):
     """Argument outside the stated precondition of an operation."""
+
+
+def _int_argument(value, what: str) -> int:
+    """``value``, refused with InvalidArgument naming ``what`` unless it is
+    an int and no bool.  A float or bool equal to an int is refused too, so
+    that it is never answered from a memo the int filled."""
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise InvalidArgument(f"{what} must be an integer, got {value!r}")
+    return value
 
 
 # --- CLI --------------------------------------------------------------------

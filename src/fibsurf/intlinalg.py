@@ -18,10 +18,9 @@ Conventions:
     package should use the public constructor.
   * lattice vectors are plain tuples of ints; a matrix of column generators
     is converted with :func:`from_columns` / :meth:`IntMatrix.columns`.
-  * ``smith_normal_form`` returns the diagonal together with *all four*
-    transition matrices (S, T and their inverses), since quotient-group
-    computations need the inverse of the row transform.  It is the one way
-    to factor a matrix: the ``SmithForm`` answers ``solve(b)`` and
+  * ``smith_normal_form`` returns D with the two transforms S, T of
+    S A T = D; their inverses are computed only when read.  It is the one
+    way to factor a matrix: the ``SmithForm`` answers ``solve(b)`` and
     ``rank()`` itself, so a caller that solves several systems against the
     same matrix factors it once.
 """
@@ -31,7 +30,13 @@ from __future__ import annotations
 from operator import mul
 from typing import Iterable, NamedTuple, Sequence
 
-from .errors import DimensionMismatch, InvalidArgument, NotUnimodular, PostconditionFailed
+from .errors import (
+    DimensionMismatch,
+    InvalidArgument,
+    NotUnimodular,
+    PostconditionFailed,
+    _int_argument,
+)
 
 
 def xgcd(a: int, b: int) -> tuple[int, int, int]:
@@ -87,7 +92,7 @@ class IntMatrix:
 
     @staticmethod
     def identity(n: int) -> "IntMatrix":
-        if n < 1:
+        if _int_argument(n, "a matrix dimension") < 1:
             raise DimensionMismatch("matrix dimensions must be positive")
         return IntMatrix._of(
             tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
@@ -95,7 +100,7 @@ class IntMatrix:
 
     @staticmethod
     def zero(rows: int, cols: int) -> "IntMatrix":
-        if rows < 1 or cols < 1:
+        if min(_int_argument(n, "a matrix dimension") for n in (rows, cols)) < 1:
             raise DimensionMismatch("matrix dimensions must be positive")
         return IntMatrix._of(((0,) * cols,) * rows)
 
@@ -271,13 +276,19 @@ def gram_in_basis(gram: IntMatrix, basis: IntMatrix) -> IntMatrix:
 
 
 class SmithForm(NamedTuple):
-    """S * A * T = D with S, T unimodular; S_inv, T_inv their exact inverses."""
+    """S * A * T = D with S, T unimodular; s_inv, t_inv are computed on read."""
 
     d: IntMatrix
     s: IntMatrix
     t: IntMatrix
-    s_inv: IntMatrix
-    t_inv: IntMatrix
+
+    @property
+    def s_inv(self) -> IntMatrix:
+        return _unimodular_inverse(self.s)
+
+    @property
+    def t_inv(self) -> IntMatrix:
+        return _unimodular_inverse(self.t)
 
     def diagonal(self) -> tuple[int, ...]:
         n = min(self.d.rows, self.d.cols)
@@ -311,52 +322,42 @@ class SmithForm(NamedTuple):
 
 
 def smith_normal_form(m: IntMatrix) -> SmithForm:
-    """Smith normal form with transition matrices.
+    """Smith normal form with its two transition matrices.
 
-    Diagonal entries are nonnegative and satisfy d_i | d_{i+1}.  The four
-    transforms are maintained incrementally, one elementary operation at a
-    time, so they are exact and unimodular by construction.
+    Diagonal entries are nonnegative and satisfy d_i | d_{i+1}.  S and T are
+    maintained incrementally, one elementary operation at a time, so they
+    are exact and unimodular by construction.
     """
+    return _smith_form(m)
+
+
+def _smith_form(m: IntMatrix) -> SmithForm:
+    """The elimination behind ``smith_normal_form``.  The inverses call it
+    under this private name, so that reading them starts no call of the
+    public one."""
     a = m.tolists()
     nr, nc = m.rows, m.cols
-
-    def eye(n):
-        return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-
-    s, s_inv, t, t_inv = eye(nr), eye(nr), eye(nc), eye(nc)
+    s = [[1 if i == j else 0 for j in range(nr)] for i in range(nr)]
+    t = [[1 if i == j else 0 for j in range(nc)] for i in range(nc)]
 
     def swap_rows(i, j):
         a[i], a[j] = a[j], a[i]
         s[i], s[j] = s[j], s[i]
-        for r in s_inv:  # column swap on the inverse
-            r[i], r[j] = r[j], r[i]
 
     def swap_cols(i, j):
-        for r in a:
-            r[i], r[j] = r[j], r[i]
-        for r in t:
-            r[i], r[j] = r[j], r[i]
-        t_inv[i], t_inv[j] = t_inv[j], t_inv[i]
+        for x in (a, t):
+            for r in x:
+                r[i], r[j] = r[j], r[i]
 
     def add_row(src, dst, c):
         # row dst += c * row src
         a[dst] = [x + c * y for x, y in zip(a[dst], a[src])]
         s[dst] = [x + c * y for x, y in zip(s[dst], s[src])]
-        for i in range(nr):
-            s_inv[i][src] -= c * s_inv[i][dst]
 
     def add_col(src, dst, c):
-        for r in a:
-            r[dst] += c * r[src]
-        for r in t:
-            r[dst] += c * r[src]
-        t_inv[src] = [x - c * y for x, y in zip(t_inv[src], t_inv[dst])]
-
-    def negate_row(i):
-        a[i] = [-x for x in a[i]]
-        s[i] = [-x for x in s[i]]
-        for r in s_inv:
-            r[i] = -r[i]
+        for x in (a, t):
+            for r in x:
+                r[dst] += c * r[src]
 
     k = 0
     while k < min(nr, nc):
@@ -412,10 +413,20 @@ def smith_normal_form(m: IntMatrix) -> SmithForm:
                 break
             add_row(culprit, k, 1)  # drags a non-multiple into row k
         if a[k][k] < 0:
-            negate_row(k)
+            a[k] = [-x for x in a[k]]
+            s[k] = [-x for x in s[k]]
         k += 1
 
-    return SmithForm(*(IntMatrix._of(tuple(map(tuple, x))) for x in (a, s, t, s_inv, t_inv)))
+    return SmithForm(*(IntMatrix._of(tuple(map(tuple, x))) for x in (a, s, t)))
+
+
+def _unimodular_inverse(m: IntMatrix) -> IntMatrix:
+    """m^-1 for a square m of determinant +-1: S m T = I when every
+    invariant factor is 1, so m^-1 = T S."""
+    snf = _smith_form(m)
+    if any(x != 1 for x in snf.diagonal()):
+        raise PostconditionFailed("a unimodular matrix has no integral inverse")
+    return snf.t * snf.s
 
 
 def invert_unimodular(m: IntMatrix) -> IntMatrix:
@@ -423,22 +434,17 @@ def invert_unimodular(m: IntMatrix) -> IntMatrix:
     d = m.det()
     if d not in (1, -1):
         raise NotUnimodular(f"determinant is {d}, not a unit")
-    # S m T = I when every invariant factor is 1, so m^-1 = T S
-    snf = smith_normal_form(m)
-    if any(x != 1 for x in snf.diagonal()):
-        raise PostconditionFailed("a unimodular matrix has no integral inverse")
-    return snf.t * snf.s
+    return _unimodular_inverse(m)
 
 
 def column_lattice_basis(m: IntMatrix) -> list[tuple[int, ...]]:
     """A basis (as columns) of the lattice spanned by the columns of ``m``.
 
-    From S m T = D the column lattice is S^-1 D Z^c, so the nonzero columns
-    of S^-1 D form a basis.
+    From S m T = D the column lattice is m T Z^c = S^-1 D Z^c, so the
+    nonzero columns of m T (the first rank(m) of them) form a basis.
     """
-    snf = smith_normal_form(m)
-    prod = snf.s_inv * snf.d
-    return [prod.column(j) for j in range(prod.cols) if any(prod.column(j))]
+    prod = m * smith_normal_form(m).t
+    return [c for c in prod.columns() if any(c)]
 
 
 def char_poly(m: IntMatrix) -> tuple[int, ...]:

@@ -34,8 +34,9 @@ from .errors import (
     InvalidArgument,
     LevelTooSmall,
     UnsupportedGenus,
+    _int_argument,
 )
-from .modular import _read_level, delta, modular_data
+from .modular import delta, modular_data
 
 
 @dataclass(frozen=True)
@@ -124,7 +125,7 @@ def _fields(d: int) -> tuple:
     """(Delta_d, g(X), t, genus-2 fields, genus-3 fields) at level d, from
     one factoring of d.  The genus-2 fields are (s, c2, chi, K2), the
     genus-3 fields (g(B), c2, chi, K2, tau, H, lambda, delta0, delta1)."""
-    if _read_level(d) < 3:
+    if _int_argument(d, "the level d") < 3:
         raise LevelTooSmall(f"invariants need d >= 3, got {d}")
     data = modular_data(d)
     dl = data.delta
@@ -218,10 +219,11 @@ def pullback_K2(
     """
     if base.g != 3:
         raise UnsupportedGenus("pullback formula applies to the genus-3 table")
+    n = _int_argument(n, "the covering degree n")
+    b_tilde = _int_argument(b_tilde, "the genus b_tilde")
     if n < 1:
         raise InvalidArgument(f"covering degree must be >= 1, got {n}")
-    if b is None:
-        b = base.base_genus
+    b = base.base_genus if b is None else _int_argument(b, "the base genus b")
     if 2 * b_tilde - 2 < n * (2 * b - 2):
         raise InfeasibleCover(
             f"no degree-{n} cover: 2*{b_tilde} - 2 < {n}*(2*{b} - 2)"
@@ -241,6 +243,7 @@ def euler_fibre_sum_check(inv: SurfaceInvariants) -> bool:
 
 def slope(inv: SurfaceInvariants, b: int, g: int) -> Fraction:
     """The slope lambda solving K2 = lambda*chi + (8-lambda)*(b-1)*(g-1)."""
+    b, g = _int_argument(b, "the base genus b"), _int_argument(g, "the fibre genus g")
     core = (b - 1) * (g - 1)
     if inv.chi == core:
         raise DegenerateSlope("chi equals (b-1)(g-1); the relation is singular")
@@ -249,12 +252,14 @@ def slope(inv: SurfaceInvariants, b: int, g: int) -> Fraction:
 
 def arakelov_holds(inv: SurfaceInvariants, b: int, g: int) -> bool:
     """K2 >= 8*(b-1)*(g-1)."""
+    b, g = _int_argument(b, "the base genus b"), _int_argument(g, "the fibre genus g")
     return inv.K2 >= 8 * (b - 1) * (g - 1)
 
 
 def unique_fibration_criterion(K2: int, g: int) -> bool:
     """K2 > 4*(g-1)^2 forces any fibration of fibre genus g to be unique."""
-    if g < 2:
+    K2 = _int_argument(K2, "K2")
+    if _int_argument(g, "the fibre genus g") < 2:
         raise UnsupportedGenus(f"fibre genus must be >= 2, got {g}")
     return K2 > 4 * (g - 1) ** 2
 
@@ -263,7 +268,9 @@ def moduli_dimension(g: int, b: int, m: int, d: int) -> int:
     """Dimension of the family of degree-m base changes from curves of
     genus b: 2b - 2 - m*(2g(X(d)) - 2) + 1 for fibre genus 2 and
     2b - m*(2g(B) - 2) + 3 for fibre genus 3."""
-    if _read_level(d) < 3:
+    g, b = _int_argument(g, "the fibre genus g"), _int_argument(b, "the base genus b")
+    m = _int_argument(m, "the cover degree m")
+    if _int_argument(d, "the level d") < 3:
         raise LevelTooSmall(f"moduli dimensions need d >= 3, got {d}")
     if m < 1:
         raise InvalidArgument(f"cover degree must be >= 1, got {m}")
@@ -287,7 +294,7 @@ def fibre_types(g: int) -> FibreTypeCatalogue:
     Genus 2: two elliptic curves at a node, or an elliptic curve with a
     node — defect 1 each.
     """
-    if g == 2:
+    if _int_argument(g, "the fibre genus g") == 2:
         return FibreTypeCatalogue(
             genus=2,
             types=(
@@ -318,9 +325,9 @@ def run_identity_checks(d_lo: int = 3, d_hi: int = 100) -> list[tuple[str, bool]
     field that is not an integer at some level fails "tables_construct"
     and skips the identities of that level.
     """
-    if _read_level(d_lo) < 3:
+    if _int_argument(d_lo, "the level d_lo") < 3:
         raise LevelTooSmall(f"identity checks need d >= 3, got {d_lo}")
-    if _read_level(d_hi) < d_lo:
+    if _int_argument(d_hi, "the level d_hi") < d_lo:
         raise InvalidArgument("empty level range")
     ok = dict.fromkeys(_CHECKS, True)
     for d in range(d_lo, d_hi + 1):

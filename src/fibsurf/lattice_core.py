@@ -20,6 +20,7 @@ from math import comb
 from .errors import (
     Degenerate,
     DimensionMismatch,
+    InvalidArgument,
     NotAlternating,
     NotCoprincipal,
     NotSymplectic,
@@ -37,6 +38,10 @@ class AlternatingForm:
 
     def __post_init__(self):
         g = self.gram
+        if not isinstance(g, IntMatrix):
+            raise InvalidArgument(
+                f"the Gram matrix must be an IntMatrix, got {type(g).__name__}"
+            )
         if g.rows != g.cols:
             raise NotAlternating("gram matrix must be square")
         for i in range(g.rows):

@@ -60,12 +60,12 @@ from itertools import count
 from math import gcd, isqrt
 
 from .errors import (
-    InvalidArgument,
     InvalidCuspSet,
     LevelTooLarge,
     LevelTooSmall,
     NonIntegralResult,
     UnsupportedCusp,
+    _int_argument,
 )
 
 # IntMatrix (in annotations) is imported from .intlinalg only where a matrix
@@ -220,23 +220,14 @@ def _prime_factors(n: int) -> list[int]:
     return out + sorted(large)
 
 
-def _read_level(d) -> int:
-    """The level d, refused with InvalidArgument unless it is an int and no
-    bool.  Every entry point that takes a level reads it here first, so
-    that no float or bool level (equal to an int, and hashed alike) is ever
-    answered from the memo of _jordan2."""
-    if not isinstance(d, int) or isinstance(d, bool):
-        raise InvalidArgument(f"the level d must be an integer, got {d!r}")
-    return d
-
-
 @lru_cache(maxsize=_JORDAN2_MEMO)
 def _jordan2(d: int) -> int:
     """Jordan's totient J_2(d) = d^2 * prod over primes p | d of
     (1 - 1/p^2), an integer, equal to 24 * Delta_d; for 1 <= d < PSI_13.
-    Memoized for the last _JORDAN2_MEMO levels; callers pass only levels
-    that _read_level accepted.  LevelTooLarge is not memoized, so it is
-    raised on every call."""
+    Memoized for the last _JORDAN2_MEMO levels.  Every entry point reads its
+    level with _int_argument first, so no float or bool level (equal to an
+    int, and hashed alike) is ever answered from the memo.  LevelTooLarge
+    is not memoized, so it is raised on every call."""
     if d >= PSI_13:
         raise LevelTooLarge(
             f"levels are factored exactly only below psi_13 = {PSI_13}, got {d}"
@@ -251,7 +242,7 @@ def _jordan2(d: int) -> int:
 def delta(d: int) -> Fraction:
     """Delta_d = J_2(d) / 24 = (d^2 / 24) * prod over primes p | d of
     (1 - 1/p^2), for 2 <= d < PSI_13."""
-    if _read_level(d) < 2:
+    if _int_argument(d, "the level d") < 2:
         raise LevelTooSmall(f"delta is defined for d >= 2, got {d}")
     return Fraction(_jordan2(d), 24)
 
@@ -260,7 +251,7 @@ def modular_data(d: int) -> ModularCurveData:
     """Genus and cusp count of X(d): g = (d-6)*Delta_d + 1, t = 12*Delta_d,
     for 3 <= d < PSI_13; each is one division by 24 of an integer multiple
     of J_2(d) = 24*Delta_d, checked to leave no remainder."""
-    if _read_level(d) < 3:
+    if _int_argument(d, "the level d") < 3:
         raise LevelTooSmall(f"modular data requires d >= 3, got {d}")
     j = _jordan2(d)
     genus, rg = divmod((d - 6) * j + 24, 24)
@@ -276,7 +267,7 @@ def modular_data(d: int) -> ModularCurveData:
 def gamma_d_contains(m: IntMatrix, d: int) -> bool:
     """True iff m is in SL_2(Z) and congruent to the identity mod d, for
     d >= 1."""
-    if _read_level(d) < 1:
+    if _int_argument(d, "the level d") < 1:
         raise LevelTooSmall(f"Gamma(d) is defined for d >= 1, got {d}")
     if m.rows != 2 or m.cols != 2:
         return False

@@ -130,11 +130,14 @@ def read_int(v, what: str) -> int:
     raise UsageError(f"{what} must be an integer, got {v!r}")
 
 
-# the largest matrix side and entry size accepted.  At 20x20 the slowest
-# matrix subcommands (adapted-basis factoring a dense U, distinguish on
-# symplectic matrices) took at most 1.0 s with 6-digit entries over 12 seeds
-# (one 5-digit input took 3 s), 4.6 s with 7 digits and 9.3 s with 9; at
-# 24x24 with 6-digit entries they took up to 10 s
+# the largest matrix side and entry size accepted.  At 20x20 with 6-digit
+# entries (cold, shared 2-vCPU VM, Python 3.11) adapted-basis factoring a
+# dense U took 0.11-0.44 s over 12 seeds, and distinguish on products of
+# symplectic transvections (each drawn from random.Random(seed), stopped
+# before an entry reaches 10^6) 0.13-1.1 s over seeds 0..11, except
+# 5.7-6.4 s for seed 3, whose Smith forms of M - I and M^2 - I grow large
+# entries.  Earlier runs took up to 4.6 s with 7 digits and 9.3 s with 9,
+# and up to 10 s at 24x24 with 6-digit entries
 _MAX_MATRIX_DIM = 20
 _MAX_ENTRY_DIGITS = 6
 

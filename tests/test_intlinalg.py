@@ -8,6 +8,7 @@ import sympy
 from fibsurf import (
     DimensionMismatch,
     IntMatrix,
+    InvalidArgument,
     NotUnimodular,
     char_poly,
     column_lattice_basis,
@@ -163,6 +164,22 @@ def test_invert_unimodular():
             inv = invert_unimodular(m)
             assert m * inv == IntMatrix.identity(n)
             assert inv * m == IntMatrix.identity(n)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: IntMatrix.identity(2.5),
+        lambda: IntMatrix.identity(True),
+        lambda: IntMatrix.zero(2, 1.5),
+        lambda: IntMatrix.zero("2", 2),
+    ],
+    ids=["identity-float", "identity-bool", "zero-float", "zero-str"],
+)
+def test_dimensions_that_are_not_ints_are_refused(call):
+    """These used to end in a raw TypeError (or, for a bool, a 1x1 matrix)."""
+    with pytest.raises(InvalidArgument, match="matrix dimension"):
+        call()
 
 
 def test_invert_unimodular_rejects_non_unit_det():

@@ -288,3 +288,40 @@ def test_fibre_defect_accounting():
         inv = invariants_g3(d)
         total = inv.c2 - (2 - 2 * 3) * (2 - 2 * inv.base_genus)
         assert Fraction(total) == pair * 12 * delta(inv.d)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: moduli_dimension(2, 5.5, 1, 4),
+        lambda: pullback_K2(invariants_g3(4), 2.5, 100),
+        lambda: arakelov_holds(invariants_g3(4), 2.5, 3),
+        lambda: unique_fibration_criterion(2.5, 3),
+        lambda: slope(invariants_g3(4), 2.5, 3),
+    ],
+    ids=["moduli_dimension", "pullback_K2", "arakelov_holds", "unique_fibration", "slope"],
+)
+def test_non_integer_arguments_are_refused(call):
+    """Each of these answered (12.0, 2202.0, True, False) or raised a raw
+    TypeError before its integer arguments were read."""
+    with pytest.raises(InvalidArgument, match="must be an integer"):
+        call()
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: moduli_dimension(2.0, 5, 1, 4),
+        lambda: moduli_dimension(2, 5, True, 4),
+        lambda: pullback_K2(invariants_g3(4), 2, 100.0),
+        lambda: pullback_K2(invariants_g3(4), 2, 100, b="9"),
+        lambda: arakelov_holds(invariants_g3(4), 9, 3.0),
+        lambda: unique_fibration_criterion(144, 3.0),
+        lambda: slope(invariants_g3(4), 23, None),
+        lambda: fibre_types(2.0),
+    ],
+    ids=["g", "m", "b_tilde", "b", "arakelov-g", "unique-g", "slope-g", "fibre_types-g"],
+)
+def test_every_integer_argument_is_read(call):
+    with pytest.raises(InvalidArgument, match="must be an integer"):
+        call()

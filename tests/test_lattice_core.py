@@ -13,6 +13,7 @@ from fibsurf import (
     ConjugacyInvariants,
     Degenerate,
     IntMatrix,
+    InvalidArgument,
     NotAlternating,
     NotCoprincipal,
     NotSymplectic,
@@ -46,6 +47,12 @@ def test_alternating_form_rejects_bad_grams():
         AlternatingForm(IntMatrix([[0, 1], [1, 0]]))
     with pytest.raises(NotAlternating):
         AlternatingForm(IntMatrix([[0, 1, 0], [-1, 0, 0]]))
+
+
+def test_alternating_form_refuses_a_gram_that_is_not_an_intmatrix():
+    """A list of rows used to end in a raw AttributeError."""
+    with pytest.raises(InvalidArgument, match="IntMatrix"):
+        AlternatingForm([[0, 1], [-1, 0]])
 
 
 def test_polarization_type_divisor_chain_enforced():

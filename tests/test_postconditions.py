@@ -77,13 +77,13 @@ def test_construction_internal_check(monkeypatch):
 
 def test_invert_unimodular_internal_check(monkeypatch):
     """A Smith form of a unimodular matrix whose diagonal is not all ones."""
-    original = fibsurf.intlinalg.smith_normal_form
+    original = fibsurf.intlinalg._smith_form
 
     def non_unit_diagonal(m):
         snf = original(m)
         return snf._replace(d=snf.d.scale(2))
 
-    monkeypatch.setattr(fibsurf.intlinalg, "smith_normal_form", non_unit_diagonal)
+    monkeypatch.setattr(fibsurf.intlinalg, "_smith_form", non_unit_diagonal)
     with pytest.raises(PostconditionFailed, match="no integral inverse"):
         invert_unimodular(IntMatrix([[2, 1], [1, 1]]))
 
