@@ -24,9 +24,7 @@ _EXPORTS = {
         "UsageError",
     ),
     "intlinalg": (
-        "IntMatrix", "SmithForm", "char_poly", "column_lattice_basis",
-        "combo", "gram_in_basis", "invert_unimodular", "mat_vec", "pairing",
-        "smith_normal_form", "xgcd",
+        "IntMatrix", "SmithForm", "char_poly", "smith_normal_form",
     ),
     "lattice_core": (
         "AlternatingForm", "ConjugacyInvariants", "PolarizationType",

@@ -52,6 +52,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import cached_property
 from math import gcd
+from operator import mul
+from typing import Sequence
 
 from .errors import (
     Degenerate,
@@ -61,18 +63,9 @@ from .errors import (
     NotUnimodular,
     PostconditionFailed,
     QuotientNotBicyclic,
+    _int_argument,
 )
-from .intlinalg import (
-    IntMatrix,
-    SmithForm,
-    column_lattice_basis,
-    combo,
-    gram_in_basis,
-    mat_vec,
-    pairing,
-    smith_normal_form,
-    xgcd,
-)
+from .intlinalg import IntMatrix, SmithForm, _column_lattice_basis, smith_normal_form
 from .lattice_core import (
     AlternatingForm,
     block_normal_gram,
@@ -88,6 +81,41 @@ Vector = tuple[int, ...]
 def _column_matrix(cols) -> IntMatrix:
     """Trusted matrix whose columns are the given int vectors."""
     return IntMatrix._of(tuple(zip(*cols)))
+
+
+def _mat_vec(m: IntMatrix, v: Sequence[int]) -> tuple[int, ...]:
+    if m.cols != len(v):
+        raise DimensionMismatch("matrix-vector shape mismatch")
+    return tuple(sum(map(mul, r, v)) for r in m.entries())
+
+
+def _combo(vectors: Sequence[Sequence[int]], coeffs: Sequence[int]) -> tuple[int, ...]:
+    """Integer linear combination of equal-length vectors."""
+    if len(vectors) != len(coeffs):
+        raise DimensionMismatch("coefficient count mismatch")
+    return tuple(sum(map(mul, coeffs, entries)) for entries in zip(*vectors))
+
+
+def _pairing(gram: IntMatrix, x: Sequence[int], y: Sequence[int]) -> int:
+    """Evaluate the bilinear form x^T * gram * y."""
+    return sum(map(mul, x, _mat_vec(gram, y)))
+
+
+def _xgcd(a: int, b: int) -> tuple[int, int, int]:
+    """Extended gcd: (g, x, y) with a*x + b*y = g = gcd(a, b) >= 0.  Step 4
+    lifts the g = 2 frame from this particular Bezout pair; another one (say
+    from ``pow(a, -1, b)``) gives adapted bases other than the pinned ones."""
+    old_r, r = a, b
+    old_x, x = 1, 0
+    old_y, y = 0, 1
+    while r:
+        q = old_r // r
+        old_r, r = r, old_r - q * r
+        old_x, x = x, old_x - q * x
+        old_y, y = y, old_y - q * y
+    if old_r < 0:
+        old_r, old_x, old_y = -old_r, -old_x, -old_y
+    return old_r, old_x, old_y
 
 
 @dataclass(frozen=True)
@@ -142,7 +170,8 @@ class AdaptedBasis:
     )
 
     def __post_init__(self):
-        if self.g < 2 or self.d < 2:
+        g, d = _int_argument(self.g, "the genus g"), _int_argument(self.d, "the degree d")
+        if g < 2 or d < 2:
             raise DimensionMismatch("adapted bases need g >= 2 and d >= 2")
         if len(self.vectors) != 2 * self.g:
             raise DimensionMismatch(
@@ -164,9 +193,9 @@ class AdaptedBasis:
         if i == 2 * g + 2:
             return self.vectors[2 * g - 1]
         if i == 2 * g - 1:
-            return combo([self.u(2 * g + 1), self.u(g)], [d, -1])
+            return _combo([self.u(2 * g + 1), self.u(g)], [d, -1])
         if i == 2 * g:
-            return combo([self.u(2 * g + 2), self.u(g - 1)], [d, -1])
+            return _combo([self.u(2 * g + 2), self.u(g - 1)], [d, -1])
         raise DimensionMismatch(f"section index {i} out of range")
 
     def listed_matrix(self) -> IntMatrix:
@@ -188,15 +217,18 @@ def canonical_problem(g: int, d: int) -> AdaptedBasisProblem:
         U_A = <eps_1..eps_{g-1}, eps_{g+1}..eps_{2g-2}, d*eps_{2g-1} - eps_g>,
         U_E = <eps_g, d*eps_{2g} - eps_{g-1}>.
     """
+    g, d = _int_argument(g, "the genus g"), _int_argument(d, "the degree d")
+    if g < 2 or d < 2:
+        raise InvalidArgument(f"the canonical problem needs g >= 2 and d >= 2, got ({g}, {d})")
     n = 2 * g
     ident = IntMatrix.identity(n)
     eps = ident.columns()
     ua_cols = (
         eps[: g - 1]
         + eps[g : 2 * g - 2]
-        + [combo([eps[2 * g - 2], eps[g - 1]], [d, -1])]
+        + [_combo([eps[2 * g - 2], eps[g - 1]], [d, -1])]
     )
-    ue_cols = [eps[g - 1], combo([eps[2 * g - 1], eps[g - 2]], [d, -1])]
+    ue_cols = [eps[g - 1], _combo([eps[2 * g - 1], eps[g - 2]], [d, -1])]
     return AdaptedBasisProblem(
         g=g,
         d=d,
@@ -210,7 +242,7 @@ def canonical_problem(g: int, d: int) -> AdaptedBasisProblem:
 def _validate_problem(p: AdaptedBasisProblem) -> tuple[IntMatrix, IntMatrix]:
     """Check every input invariant; return the symplectic normal-form bases
     of U_A and U_E in the coordinates of U."""
-    g, d = p.g, p.d
+    g, d = _int_argument(p.g, "the genus g"), _int_argument(p.d, "the degree d")
     if g < 2:
         raise InvariantViolation("genus must be at least 2")
     if d < 2:
@@ -233,12 +265,12 @@ def _validate_problem(p: AdaptedBasisProblem) -> tuple[IntMatrix, IntMatrix]:
     if joint is None:
         name = "U_E" if p.factored_U.solve(p.U_A) is not None else "U_A"
         raise InvariantViolation(f"{name} is not contained in U")
-    gram_u = gram_in_basis(p.form.gram, p.U)
+    gram_u = p.U.transpose() * p.form.gram * p.U
     # alternating, so det = Pf^2 = (d_1 * ... * d_g)^2: principal iff det = 1
     if gram_u.det() != 1:
         raise InvariantViolation("form restricted to U is not principal")
     # the form on U_A, on U_E and between them, as blocks of one Gram matrix
-    gram_w = gram_in_basis(gram_u, joint)
+    gram_w = joint.transpose() * gram_u * joint
     a_idx, e_idx = range(n_a), range(n_a, n_a + 2)
     basis_a = _symplectic_basis(gram_w.submatrix(a_idx, a_idx), "U_A", coprincipal_type(g - 1, d))
     basis_e = _symplectic_basis(gram_w.submatrix(e_idx, e_idx), "U_E", coprincipal_type(1, d))
@@ -281,7 +313,7 @@ def _coprime_congruent_pair(alpha: int, beta: int, d: int) -> tuple[int, int]:
     if b == 0:
         return a, d
     k = 0
-    while xgcd(a, b + k * d)[0] != 1:
+    while gcd(a, b + k * d) != 1:
         k += 1
     return a, b + k * d
 
@@ -337,22 +369,23 @@ def construct_adapted_basis(p: AdaptedBasisProblem) -> AdaptedBasis:
 
     def pair(cu: Vector, cv: Vector) -> int:
         """(u, v) for u, v in U with c(u) = cu, c(v) = cv."""
-        q, r = divmod(pairing(gram_w, cu, cv), d * d)
+        q, r = divmod(_pairing(gram_w, cu, cv), d * d)
         _ensure(r == 0, "pairing of lattice vectors is not integral")
         return q
 
     # --- step 3: force the U_E-components to be exactly (x, y) -------------
     (p1, q1), (p2, q2) = c1[n_a:], c2[n_a:]
-    gcd_e, inv_det, _ = xgcd((p1 * q2 - p2 * q1) % d, d)
-    if gcd_e != 1:
+    det_e = p1 * q2 - p2 * q1
+    if gcd(det_e, d) != 1:
         raise InvariantViolation(
             "quotient of U by U_A + U_E does not project isomorphically "
             "onto the discriminant group of U_E"
         )
     # the columns of [[p1, p2], [q1, q2]]^-1 mod d give the new generators
+    inv_det = pow(det_e, -1, d)
     c1, c2 = (
-        combo([c1, c2], [inv_det * q2 % d, -inv_det * q1 % d]),
-        combo([c1, c2], [-inv_det * p2 % d, inv_det * p1 % d]),
+        _combo([c1, c2], [inv_det * q2 % d, -inv_det * q1 % d]),
+        _combo([c1, c2], [-inv_det * p2 % d, inv_det * p1 % d]),
     )
     # translating v1, v2 by elements of U_E moves the (x, y)-coordinates of
     # the E-parts of d*v1, d*v2 by multiples of d, onto exactly x and y
@@ -368,22 +401,22 @@ def construct_adapted_basis(p: AdaptedBasisProblem) -> AdaptedBasis:
     # and j = 0 is always reachable: for g >= 3 a hyperbolic pair of U_A
     # kills any j exactly, and for g = 2 the coordinate frame of (a2, a1)
     # lifts from SL2(Z/d) to SL2(Z).
-    pa = pairing(gram_a, c1[:n_a], c2[:n_a])
+    pa = _pairing(gram_a, c1[:n_a], c2[:n_a])
     j, rem = divmod(pa + d, d * d)
     _ensure(rem == 0, "cross pairing inconsistent with an integral lattice")
     if j and g >= 3:
         e1, f1 = c_a[0], c_a[g - 1]  # c(e1), c(f1), with (e1, f1) = 1
         k = 1 - pair(c1, f1)
         t = -j - k * pair(e1, c2)
-        c1 = combo([c1, e1], [1, k])
-        c2 = combo([c2, f1], [1, t])
-        pa = pairing(gram_a, c1[:n_a], c2[:n_a])
+        c1 = _combo([c1, e1], [1, k])
+        c2 = _combo([c2, f1], [1, t])
+        pa = _pairing(gram_a, c1[:n_a], c2[:n_a])
     elif j:  # g == 2: U_A = <e, f> with (e, f) = d
         (al1, be1), (al2, be2) = c1[:2], c2[:2]  # a_i = al_i * e + be_i * f
         # (a1, a2) = -d + j*d^2 forces al_i, be_i to frame SL2(Z/d); lift
         # the frame to an exact determinant-1 pair of rows
         pq = _coprime_congruent_pair(al2, be2, d)
-        _, lam, mu = xgcd(*pq)
+        _, lam, mu = _xgcd(*pq)
         r0, s0 = -mu, lam  # pq[0]*s0 - pq[1]*r0 = 1
         k = (lam * (al1 - r0) + mu * (be1 - s0)) % d
         rs = (r0 + k * pq[0], s0 + k * pq[1])
@@ -392,9 +425,9 @@ def construct_adapted_basis(p: AdaptedBasisProblem) -> AdaptedBasis:
             "lifted frame is not congruent mod d",
         )
         c1, c2 = rs + (1, 0), pq + (0, 1)  # d*v1 = a1 + x, d*v2 = a2 + y
-        pa = pairing(gram_a, rs, pq)
+        pa = _pairing(gram_a, rs, pq)
     _ensure(pa == -d, "normalization failed to reach (a1, a2) = -d")
-    a1, a2 = (combo(cols_a, c[:n_a]) for c in (c1, c2))
+    a1, a2 = (_combo(cols_a, c[:n_a]) for c in (c1, c2))
 
     # --- step 5: orthogonal complement of (a1, a2) inside U_A, ambient ------
     k_ambient: list[Vector] = []  # empty for g = 2
@@ -402,19 +435,19 @@ def construct_adapted_basis(p: AdaptedBasisProblem) -> AdaptedBasis:
         projected = []
         for t, ct in zip(cols_a, c_a):
             # pi(t) = t + (t, v2)*a1 - (t, v1)*a2 kills pairings with a1, a2
-            projected.append(combo([t, a1, a2], [1, pair(ct, c2), -pair(ct, c1)]))
-        k_cols = column_lattice_basis(p.U * _column_matrix(projected))
+            projected.append(_combo([t, a1, a2], [1, pair(ct, c2), -pair(ct, c1)]))
+        k_cols = _column_lattice_basis(p.U * _column_matrix(projected))
         _ensure(len(k_cols) == 2 * g - 4, "complement has unexpected rank")
         k_mat = _column_matrix(k_cols)
         basis_k, ptype_k = frobenius_basis(
-            AlternatingForm(gram_in_basis(p.form.gram, k_mat))
+            AlternatingForm(k_mat.transpose() * p.form.gram * k_mat)
         )
         _ensure(ptype_k == principal_type(g - 2), "complement is not principal")
-        k_ambient = [mat_vec(k_mat, c) for c in basis_k.columns()]
+        k_ambient = [_mat_vec(k_mat, c) for c in basis_k.columns()]
     k_e, k_f = k_ambient[: g - 2], k_ambient[g - 2 :]
 
-    v1, v2 = (_divided(mat_vec(frame, c), d) for c in (c1, c2))
-    a2, x, v1, v2 = (mat_vec(p.U, v) for v in (a2, x, v1, v2))
+    v1, v2 = (_divided(_mat_vec(frame, c), d) for c in (c1, c2))
+    a2, x, v1, v2 = (_mat_vec(p.U, v) for v in (a2, x, v1, v2))
     vectors = tuple(k_e) + (a2, x) + tuple(k_f) + (v1, v2)
     result = AdaptedBasis(g=g, d=d, vectors=vectors)
     if not is_adapted_basis(p, result):
@@ -483,7 +516,7 @@ def change_basis(
     same.  On dependent ones a solve could find others, divisible by d where
     these are not or the reverse; only these are used.
     """
-    if d < 2:
+    if _int_argument(d, "the degree d") < 2:
         raise DimensionMismatch(f"basis change needs d >= 2, got {d}")
     if m.rows != 2 or m.cols != 2:
         raise DimensionMismatch("basis change takes a 2x2 matrix")
@@ -496,14 +529,14 @@ def change_basis(
     if any(c % d for coords in numerators for c in coords):
         return NOT_ADAPTED
     u_g, u_2g = b.u_e_part()
-    new_u_g = combo([u_g, u_2g], [m00, m01])
-    new_u_2g = combo([u_g, u_2g], [m10, m11])
+    new_u_g = _combo([u_g, u_2g], [m00, m01])
+    new_u_2g = _combo([u_g, u_2g], [m10, m11])
     frame = [u_g, b.u(g - 1), b.u(2 * g + 1), b.u(2 * g + 2)]
 
     vectors = list(b.vectors)
     vectors[g - 1] = new_u_g
     vectors[2 * g - 2], vectors[2 * g - 1] = (
-        combo(frame, [c // d for c in coords]) for coords in numerators
+        _combo(frame, [c // d for c in coords]) for coords in numerators
     )
     moved = AdaptedBasis(g=g, d=d, vectors=tuple(vectors))
     # the new glue relations: u_{2g-1} is kept and u_{2g} becomes u'_{2g}

@@ -5,6 +5,10 @@ downstream facts — polarization types, group membership, unimodularity — are
 exact statements.  Matrices are small (at most about 12x12 in practice), so
 the classical fraction-free algorithms below are entirely adequate.
 
+It exports ``IntMatrix``, ``SmithForm``, ``smith_normal_form`` and
+``char_poly``; ``_unimodular_inverse`` (behind ``SmithForm.s_inv``, ``t_inv``)
+and ``_column_lattice_basis`` (for ``adapted``) are private to the package.
+
 Conventions:
   * ``IntMatrix`` is immutable; entries are stored row-major as a tuple of
     tuples.
@@ -33,25 +37,9 @@ from typing import Iterable, NamedTuple, Sequence
 from .errors import (
     DimensionMismatch,
     InvalidArgument,
-    NotUnimodular,
     PostconditionFailed,
     _int_argument,
 )
-
-
-def xgcd(a: int, b: int) -> tuple[int, int, int]:
-    """Extended gcd: returns (g, x, y) with a*x + b*y = g = gcd(a, b) >= 0."""
-    old_r, r = a, b
-    old_x, x = 1, 0
-    old_y, y = 0, 1
-    while r:
-        q = old_r // r
-        old_r, r = r, old_r - q * r
-        old_x, x = x, old_x - q * x
-        old_y, y = y, old_y - q * y
-    if old_r < 0:
-        old_r, old_x, old_y = -old_r, -old_x, -old_y
-    return old_r, old_x, old_y
 
 
 class IntMatrix:
@@ -251,30 +239,6 @@ _set_cols = IntMatrix.cols.__set__
 _set_e = IntMatrix._e.__set__
 
 
-def mat_vec(m: IntMatrix, v: Sequence[int]) -> tuple[int, ...]:
-    if m.cols != len(v):
-        raise DimensionMismatch("matrix-vector shape mismatch")
-    return tuple(sum(map(mul, r, v)) for r in m.entries())
-
-
-def combo(vectors: Sequence[Sequence[int]], coeffs: Sequence[int]) -> tuple[int, ...]:
-    """Integer linear combination of equal-length vectors."""
-    if len(vectors) != len(coeffs):
-        raise DimensionMismatch("coefficient count mismatch")
-    return tuple(sum(map(mul, coeffs, entries)) for entries in zip(*vectors))
-
-
-def pairing(gram: IntMatrix, x: Sequence[int], y: Sequence[int]) -> int:
-    """Evaluate the bilinear form x^T * gram * y."""
-    gy = mat_vec(gram, y)
-    return sum(a * b for a, b in zip(x, gy))
-
-
-def gram_in_basis(gram: IntMatrix, basis: IntMatrix) -> IntMatrix:
-    """Gram matrix of the form restricted to the columns of ``basis``."""
-    return basis.transpose() * gram * basis
-
-
 class SmithForm(NamedTuple):
     """S * A * T = D with S, T unimodular; s_inv, t_inv are computed on read."""
 
@@ -429,15 +393,7 @@ def _unimodular_inverse(m: IntMatrix) -> IntMatrix:
     return snf.t * snf.s
 
 
-def invert_unimodular(m: IntMatrix) -> IntMatrix:
-    """Exact inverse of a matrix with determinant +-1."""
-    d = m.det()
-    if d not in (1, -1):
-        raise NotUnimodular(f"determinant is {d}, not a unit")
-    return _unimodular_inverse(m)
-
-
-def column_lattice_basis(m: IntMatrix) -> list[tuple[int, ...]]:
+def _column_lattice_basis(m: IntMatrix) -> list[tuple[int, ...]]:
     """A basis (as columns) of the lattice spanned by the columns of ``m``.
 
     From S m T = D the column lattice is m T Z^c = S^-1 D Z^c, so the

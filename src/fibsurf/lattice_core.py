@@ -26,6 +26,7 @@ from .errors import (
     NotSymplectic,
     OddDimension,
     PostconditionFailed,
+    _int_argument,
 )
 from .intlinalg import IntMatrix, char_poly, smith_normal_form
 
@@ -64,11 +65,11 @@ class PolarizationType:
 
     def __post_init__(self):
         ds = self.divisors
-        if not ds or any(d < 1 for d in ds):
-            raise ValueError("divisors must be positive")
+        if not ds or min(_int_argument(d, "a divisor") for d in ds) < 1:
+            raise InvalidArgument(f"a polarization type needs positive divisors, got {ds}")
         for a, b in zip(ds, ds[1:]):
             if b % a:
-                raise ValueError(f"divisor chain broken: {a} does not divide {b}")
+                raise InvalidArgument(f"divisor chain broken: {a} does not divide {b}")
 
     def __iter__(self):
         return iter(self.divisors)
@@ -78,12 +79,12 @@ class PolarizationType:
 
 
 def principal_type(g: int) -> PolarizationType:
-    return PolarizationType((1,) * g)
+    return PolarizationType((1,) * _int_argument(g, "the number of divisors g"))
 
 
 def coprincipal_type(g: int, d: int) -> PolarizationType:
     """The type (1, ..., 1, d) with g divisors."""
-    return PolarizationType((1,) * (g - 1) + (d,))
+    return PolarizationType((1,) * (_int_argument(g, "the number of divisors g") - 1) + (d,))
 
 
 def standard_symplectic_gram(g: int) -> IntMatrix:
@@ -228,8 +229,9 @@ def associated_degree(ptype: PolarizationType) -> int:
 
 def is_symplectic(m: IntMatrix, g: int) -> bool:
     """True iff m^T * J * m = J for the standard J on Z^(2g)."""
-    if m.rows != 2 * g or m.cols != 2 * g:
-        raise DimensionMismatch(f"expected a {2*g}x{2*g} matrix")
+    n = 2 * _int_argument(g, "the genus g")
+    if m.rows != n or m.cols != n:
+        raise DimensionMismatch(f"expected a {n}x{n} matrix")
     j = standard_symplectic_gram(g)
     return m.transpose() * j * m == j
 

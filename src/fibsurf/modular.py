@@ -289,11 +289,16 @@ def normalize_cusp(c) -> str:
 
 
 def normalize_cusp_set(s) -> frozenset[str]:
-    cusps = frozenset(normalize_cusp(c) for c in s)
-    if len(cusps) != len(list(s)):
+    """The cusps of ``s``, which is read once, so it may be an iterator."""
+    try:
+        given = list(s)
+    except TypeError as exc:
+        raise InvalidCuspSet(f"a cusp set must be iterable, got {s!r}") from exc
+    cusps = frozenset(map(normalize_cusp, given))
+    if len(cusps) != len(given):
         raise InvalidCuspSet("cusp set contains duplicates")
     if len(cusps) not in (1, 3):
-        raise InvalidCuspSet(f"cusp set must have size 1 or 3, got {set(s)!r}")
+        raise InvalidCuspSet(f"cusp set must have size 1 or 3, got {set(given)!r}")
     return cusps
 
 

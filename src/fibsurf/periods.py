@@ -71,8 +71,9 @@ from .errors import (
     PostconditionFailed,
     RiemannRelationViolation,
     UnsupportedCombination,
+    _int_argument,
 )
-from .intlinalg import IntMatrix, gram_in_basis
+from .intlinalg import IntMatrix
 from .lattice_core import (
     ConjugacyInvariants,
     SymplecticMatrix,
@@ -399,6 +400,7 @@ def monodromy_at_cusp(g: int, d: int, case: str = REGULAR) -> MonodromyMatrix:
     implemented for g = 3, where it has (x+1)^2 dividing its
     characteristic polynomial (hence is not unipotent).
     """
+    g, d = _int_argument(g, "the genus g"), _int_argument(d, "the degree d")
     if case == REGULAR:
         if g not in (2, 3) or d < 2:
             raise UnsupportedCombination(
@@ -464,6 +466,7 @@ def section_pairing_gram(g: int, d: int) -> IntMatrix:
     u_g = d*alpha_g - beta_{g-1}, u_{g+r} = beta_r, u_{2g} = beta_g; the
     Gram is C^t J C for that integral coordinate matrix C.
     """
+    g, d = _int_argument(g, "the genus g"), _int_argument(d, "the degree d")
     if g < 2 or d < 2:
         raise DimensionMismatch("section pairings need g >= 2 and d >= 2")
     n = 2 * g
@@ -481,4 +484,5 @@ def section_pairing_gram(g: int, d: int) -> IntMatrix:
         else:  # u_{g+r} = beta_r, r = 1..g
             col[i - 1] = 1
         cols.append(col)
-    return gram_in_basis(standard_symplectic_gram(g), IntMatrix.from_columns(cols))
+    c = IntMatrix.from_columns(cols)
+    return c.transpose() * standard_symplectic_gram(g) * c

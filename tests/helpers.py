@@ -17,17 +17,20 @@ from fibsurf import (
     PostconditionFailed,
     block_normal_gram,
     canonical_problem,
-    combo,
     coprincipal_type,
-    gram_in_basis,
-    invert_unimodular,
-    mat_vec,
     smith_normal_form,
 )
+from fibsurf.adapted import _combo, _mat_vec
+from fibsurf.intlinalg import _unimodular_inverse
 
 SL2_S = IntMatrix([[0, -1], [1, 0]])
 SL2_T = IntMatrix([[1, 1], [0, 1]])
 SL2_T_INV = IntMatrix([[1, -1], [0, 1]])
+
+
+def gram_in_basis(gram: IntMatrix, basis: IntMatrix) -> IntMatrix:
+    """Gram matrix of the form restricted to the columns of ``basis``."""
+    return basis.transpose() * gram * basis
 
 
 def random_unimodular(rng: Random, n: int, steps: int = 12) -> IntMatrix:
@@ -113,7 +116,7 @@ def random_symplectic(rng: Random, g: int, steps: int = 6) -> IntMatrix:
             m = m * IntMatrix(blk)
         elif kind == 2:
             a = random_unimodular(rng, g, steps=5)
-            a_inv_t = invert_unimodular(a).transpose()
+            a_inv_t = _unimodular_inverse(a).transpose()
             blk = [[0] * n for _ in range(n)]
             for i in range(g):
                 for jj in range(g):
@@ -132,7 +135,7 @@ def randomized_problem(rng: Random, g: int, d: int) -> AdaptedBasisProblem:
     base = canonical_problem(g, d)
     n = 2 * g
     r = random_unimodular(rng, n, steps=14)
-    r_inv = invert_unimodular(r)
+    r_inv = _unimodular_inverse(r)
     gram = gram_in_basis(base.form.gram, r_inv)
     c_u = random_unimodular(rng, n, steps=8)
     c_a = random_unimodular(rng, n - 2, steps=8)
@@ -191,13 +194,13 @@ def reference_change_basis(b, m, d):
         raise NotUnimodular(f"determinant {m.det()} != 1")
     g = b.g
     u_g, u_2g = b.u_e_part()
-    new_u_g = combo([u_g, u_2g], [m[0, 0], m[0, 1]])
-    new_u_2g = combo([u_g, u_2g], [m[1, 0], m[1, 1]])
+    new_u_g = _combo([u_g, u_2g], [m[0, 0], m[0, 1]])
+    new_u_2g = _combo([u_g, u_2g], [m[1, 0], m[1, 1]])
 
     old_basis = b.listed_matrix()
     numerators = IntMatrix.from_columns([
-        combo([new_u_g, b.u(2 * g - 1)], [1, 1]),
-        combo([new_u_2g, b.u(g - 1)], [1, 1]),
+        _combo([new_u_g, b.u(2 * g - 1)], [1, 1]),
+        _combo([new_u_2g, b.u(g - 1)], [1, 1]),
     ])
     coords = smith_normal_form(old_basis).solve(numerators)
     if coords is None:  # they manifestly lie in the span
@@ -205,7 +208,7 @@ def reference_change_basis(b, m, d):
     if any(c % d for row in coords.entries() for c in row):
         return NOT_ADAPTED
     new_u_2g1, new_u_2g2 = (
-        mat_vec(old_basis, tuple(c // d for c in col)) for col in coords.columns()
+        _mat_vec(old_basis, tuple(c // d for c in col)) for col in coords.columns()
     )
 
     vectors = list(b.vectors)

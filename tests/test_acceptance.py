@@ -27,10 +27,8 @@ from fibsurf import (
     delta,
     distinguish_monodromies,
     gamma_d_contains,
-    gram_in_basis,
     invariants_g2,
     invariants_g3,
-    invert_unimodular,
     is_adapted_basis,
     is_symplectic,
     modular_data,
@@ -40,7 +38,13 @@ from fibsurf import (
     polarization_type,
     section_pairing_gram,
 )
-from helpers import random_sl2_word, random_unimodular, randomized_problem
+from fibsurf.intlinalg import _unimodular_inverse
+from helpers import (
+    gram_in_basis,
+    random_sl2_word,
+    random_unimodular,
+    randomized_problem,
+)
 
 
 def _passed(n: int, detail: str) -> None:

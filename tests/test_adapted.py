@@ -20,20 +20,24 @@ from fibsurf import (
     InvalidArgument,
     InvariantViolation,
     NotUnimodular,
+    PolarizationType,
     QuotientNotBicyclic,
     SmithForm,
     canonical_problem,
     change_basis,
-    combo,
     construct_adapted_basis,
     coprincipal_type,
     gamma_d_contains,
-    gram_in_basis,
     is_adapted_basis,
-    pairing,
+    is_symplectic,
+    monodromy_at_cusp,
+    section_pairing_gram,
     smith_normal_form,
+    standard_symplectic_gram,
 )
+from fibsurf.adapted import _combo, _pairing
 from helpers import (
+    gram_in_basis,
     random_gamma_d_element,
     random_sl2_word,
     random_unimodular,
@@ -310,7 +314,7 @@ def test_change_basis_on_dependent_vectors_uses_the_glue_coordinates():
     moved = change_basis(b, IntMatrix([[1, 3], [3, 10]]), d)
     u_g, u_2g = b.u_e_part()
     assert moved.u(2 * g - 1) == b.u(2 * g - 1)
-    assert moved.u_e_part() == (combo([u_g, u_2g], [1, 3]), combo([u_g, u_2g], [3, 10]))
+    assert moved.u_e_part() == (_combo([u_g, u_2g], [1, 3]), _combo([u_g, u_2g], [3, 10]))
 
 
 def test_verification_is_remembered_per_problem_object(monkeypatch):
@@ -405,7 +409,7 @@ def _doubled_first(m: IntMatrix) -> IntMatrix:
 
 
 def _shifted_first(m: IntMatrix, by: IntMatrix) -> IntMatrix:
-    return IntMatrix.from_columns([combo([m.column(0), by.column(0)], [1, 1])] + m.columns()[1:])
+    return IntMatrix.from_columns([_combo([m.column(0), by.column(0)], [1, 1])] + m.columns()[1:])
 
 
 def _failing_only(p: AdaptedBasisProblem, k: int, shift: bool) -> AdaptedBasisProblem:
@@ -502,7 +506,7 @@ def test_adapted_pairings_spotcheck():
     b = construct_adapted_basis(p)
     gram = p.form.gram
     u_g, u_2g = b.u_e_part()
-    assert pairing(gram, u_g, u_2g) == d
+    assert _pairing(gram, u_g, u_2g) == d
     a_part = b.u_a_part()
     half = len(a_part) // 2  # = g - 1
     divisors = (1,) * (g - 2) + (d,)
@@ -513,7 +517,7 @@ def test_adapted_pairings_spotcheck():
                 want = divisors[i]
             if i - j == half:
                 want = -divisors[j]
-            assert pairing(gram, x, y) == want
+            assert _pairing(gram, x, y) == want
 
 
 def test_coprime_congruent_pair_rejects_imprimitive_frame():
@@ -528,3 +532,48 @@ def test_coprime_congruent_pair_rejects_imprimitive_frame():
         p, q = _coprime_congruent_pair(alpha, beta, d)
         assert (p - alpha) % d == 0 and (q - beta) % d == 0
         assert math.gcd(p, q) == 1
+
+
+@pytest.mark.parametrize(
+    "call, match",
+    [
+        (lambda: monodromy_at_cusp(2.0, 3), "genus g must be an integer"),
+        (lambda: monodromy_at_cusp(2, 2.5), "degree d must be an integer"),
+        (
+            lambda: change_basis(
+                construct_adapted_basis(canonical_problem(2, 3)), IntMatrix.identity(2), 2.5
+            ),
+            "degree d must be an integer",
+        ),
+        (
+            lambda: AdaptedBasis(g=2.5, d=3, vectors=((1, 0, 0, 0),) * 5),
+            "genus g must be an integer",
+        ),
+        (lambda: section_pairing_gram(2.5, 3), "genus g must be an integer"),
+        (lambda: is_symplectic(IntMatrix.identity(3), 1.5), "genus g must be an integer"),
+        (lambda: canonical_problem(2.5, 3), "genus g must be an integer"),
+        (
+            lambda: construct_adapted_basis(replace(canonical_problem(2, 3), d=3.0)),
+            "degree d must be an integer",
+        ),
+        (lambda: canonical_problem(1, 3), "g >= 2 and d >= 2"),
+        (lambda: canonical_problem(2, 1), "g >= 2 and d >= 2"),
+        (lambda: PolarizationType((1.5,)), "divisor must be an integer"),
+        (lambda: PolarizationType((2, 3)), "2 does not divide 3"),
+        (lambda: PolarizationType((0,)), "positive divisors"),
+        (lambda: standard_symplectic_gram(0), "positive divisors"),
+        (lambda: coprincipal_type(2, 2.5), "divisor must be an integer"),
+    ],
+    ids=[
+        "monodromy-g", "monodromy-d", "change_basis-d", "AdaptedBasis-g",
+        "section_pairing_gram-g", "is_symplectic-g", "canonical_problem-g", "problem-d",
+        "canonical_problem-g1", "canonical_problem-d1", "PolarizationType-float",
+        "PolarizationType-chain", "PolarizationType-zero", "standard_gram-0",
+        "coprincipal_type-d",
+    ],
+)
+def test_genus_degree_and_divisors_are_read(call, match):
+    """Each of these answered, raised a raw TypeError or ValueError, or
+    named the wrong argument before its genus, degree or divisors were read."""
+    with pytest.raises(InvalidArgument, match=match):
+        call()

@@ -74,9 +74,29 @@ def test_public_names_resolve():
     assert fibsurf.cli.main is not None
 
 
-def test_unknown_name_is_an_attribute_error():
-    with pytest.raises(AttributeError, match="no_such_name"):
-        fibsurf.no_such_name
+@pytest.mark.parametrize(
+    "name",
+    [
+        "no_such_name",
+        # helpers that left the public surface: private or gone
+        "xgcd",
+        "invert_unimodular",
+        "combo",
+        "mat_vec",
+        "pairing",
+        "gram_in_basis",
+        "column_lattice_basis",
+    ],
+)
+def test_unknown_name_is_an_attribute_error(name):
+    with pytest.raises(AttributeError, match=name):
+        getattr(fibsurf, name)
+
+
+def test_intlinalg_exports_only_the_exact_core():
+    assert fibsurf._EXPORTS["intlinalg"] == (
+        "IntMatrix", "SmithForm", "char_poly", "smith_normal_form",
+    )
 
 
 @pytest.mark.parametrize(

@@ -25,13 +25,13 @@ from fibsurf import (
     gamma_d_contains,
     invariants_g2,
     invariants_g3,
-    invert_unimodular,
     modular_data,
     moduli_dimension,
     normalize_cusp,
     normalize_cusp_set,
     run_identity_checks,
 )
+from fibsurf.intlinalg import _unimodular_inverse
 from helpers import random_gamma_d_element, random_sl2_word
 
 # level -> Delta_d, checked by hand from the defining product
@@ -113,7 +113,7 @@ def test_gamma_d_closure_under_products_and_inverse():
             b = random_gamma_d_element(rng, d)
             assert gamma_d_contains(a, d)
             assert gamma_d_contains(a * b, d)
-            assert gamma_d_contains(invert_unimodular(a), d)
+            assert gamma_d_contains(_unimodular_inverse(a), d)
 
 
 I2 = IntMatrix.identity(2)
@@ -177,9 +177,16 @@ def test_admissible_cusp_sets():
     assert normalize_cusp_set({0, 1, "oo"}) == frozenset(
         {CUSP_ZERO, CUSP_ONE, CUSP_INF}
     )
-    for bad in [[], ["0", "1"], ["1", "inf"], ["0", "inf"]]:
+    for bad in [[], ["0", "1"], ["1", "inf"], ["0", "inf"], 5]:
         with pytest.raises(InvalidCuspSet):
             cusp_case(bad)
+    with pytest.raises(InvalidCuspSet, match="iterable"):
+        gamma2_complement_contains(IntMatrix.identity(2), 5)
+    # read once: an iterator is no false duplicate
+    assert cusp_case(iter(["inf"])).variant == IRREGULAR
+    assert normalize_cusp_set(c for c in ("0", "1", "inf")) == frozenset(
+        {CUSP_ZERO, CUSP_ONE, CUSP_INF}
+    )
 
 
 def test_cusp_case_all_four_complements():
@@ -242,10 +249,10 @@ def test_complement_membership_word_oracle():
         for _ in range(rng.randint(0, 6)):
             k = rng.choice([-2, -1, 1, 2])
             if rng.random() < 0.5:
-                m = m * a.power(abs(k)) if k > 0 else m * invert_unimodular(a).power(-k)
+                m = m * a.power(abs(k)) if k > 0 else m * _unimodular_inverse(a).power(-k)
                 e_a += k
             else:
-                m = m * b.power(abs(k)) if k > 0 else m * invert_unimodular(b).power(-k)
+                m = m * b.power(abs(k)) if k > 0 else m * _unimodular_inverse(b).power(-k)
                 e_b += k
         sigma = rng.choice([1, -1])
         word = m.scale(sigma)
@@ -278,7 +285,7 @@ def test_complement_sections_multiply():
             x = rng.choice(members)
             y = rng.choice(members)
             assert gamma2_complement_contains(x * y, s)
-            assert gamma2_complement_contains(invert_unimodular(x), s)
+            assert gamma2_complement_contains(_unimodular_inverse(x), s)
 
 
 def test_stabilizer_generators_fix_infinity():

@@ -21,8 +21,8 @@ from fibsurf import (
     char_poly,
     construct_adapted_basis,
     frobenius_basis,
-    invert_unimodular,
     period_matrix,
+    smith_normal_form,
     standard_symplectic_gram,
 )
 
@@ -45,7 +45,7 @@ def test_change_basis_internal_check(monkeypatch):
     vector by construction; a glue vector that breaks this is a failed
     check, not an ``assert``."""
     basis = construct_adapted_basis(canonical_problem(2, 3))
-    original = fibsurf.adapted.combo
+    original = fibsurf.adapted._combo
     glue_calls = [0]
 
     def first_glue_vector_off(vectors, coeffs):
@@ -56,7 +56,7 @@ def test_change_basis_internal_check(monkeypatch):
                 return (out[0] + 1,) + out[1:]
         return out
 
-    monkeypatch.setattr(fibsurf.adapted, "combo", first_glue_vector_off)
+    monkeypatch.setattr(fibsurf.adapted, "_combo", first_glue_vector_off)
     with pytest.raises(PostconditionFailed, match="glue relations"):
         change_basis(basis, IntMatrix([[1, 3], [0, 1]]), 3)
     assert glue_calls[0] == 2
@@ -76,7 +76,9 @@ def test_construction_internal_check(monkeypatch):
 
 
 def test_invert_unimodular_internal_check(monkeypatch):
-    """A Smith form of a unimodular matrix whose diagonal is not all ones."""
+    """A Smith form of a unimodular matrix whose diagonal is not all ones,
+    met when S^-1 is read."""
+    snf = smith_normal_form(IntMatrix([[2, 1], [1, 1]]))
     original = fibsurf.intlinalg._smith_form
 
     def non_unit_diagonal(m):
@@ -85,7 +87,7 @@ def test_invert_unimodular_internal_check(monkeypatch):
 
     monkeypatch.setattr(fibsurf.intlinalg, "_smith_form", non_unit_diagonal)
     with pytest.raises(PostconditionFailed, match="no integral inverse"):
-        invert_unimodular(IntMatrix([[2, 1], [1, 1]]))
+        snf.s_inv
 
 
 def test_frobenius_postcondition(monkeypatch):
