@@ -4,6 +4,10 @@ Subcommands: modular, invariants, check, adapted-basis, period, monodromy,
 polarization, distinguish.  Output is JSON (default) or TSV via --format;
 both are byte-deterministic for fixed inputs.  Exit status: 0 on success,
 1 on a domain error (error code + message on stderr), 2 on usage errors.
+Each ``_cmd_*`` handler returns ``(value, table, code)`` and never reads
+--format: ``main`` writes ``encode_json(value)``, or ``tsv_table(*table)``,
+where a ``table`` of None means that the value is a record or a list of
+records, one TSV row each (``serialize.record_table``).
 Each subcommand imports only the modules it uses, so a cold start of
 ``modular`` does not load the lattice or period code.
 """
@@ -13,17 +17,16 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import fields
 
 from .errors import DomainError, NotCoprincipal, UsageError
 from .serialize import (
     complex_matrix_jsonable,
     encode_json,
-    field_name,
     parse_complex_matrix,
     parse_complex_pair,
     parse_int_matrix,
     read_int,
+    record_table,
     tsv_table,
 )
 
@@ -35,55 +38,51 @@ def _build_parser() -> argparse.ArgumentParser:
         "computations for maximally irregular fibred surfaces.",
     )
     sub = ap.add_subparsers(dest="command", required=True)
+    fmt = argparse.ArgumentParser(add_help=False)
+    fmt.add_argument("--format", choices=("json", "tsv"), default="json")
 
-    def with_format(p: argparse.ArgumentParser) -> argparse.ArgumentParser:
-        p.add_argument("--format", choices=("json", "tsv"), default="json")
-        return p
-
-    p = with_format(sub.add_parser("modular", help="genus and cusp count of X(d)"))
+    p = sub.add_parser("modular", parents=[fmt], help="genus and cusp count of X(d)")
     p.add_argument("--d", type=int, required=True)
 
-    p = with_format(
-        sub.add_parser("invariants", help="surface invariant tables (g = 2 or 3)")
+    p = sub.add_parser(
+        "invariants", parents=[fmt], help="surface invariant tables (g = 2 or 3)"
     )
     p.add_argument("mode", nargs="?", choices=("table",))
     p.add_argument("--g", type=int, choices=(2, 3), required=True)
     p.add_argument("--d", type=int)
     p.add_argument("--d-range", dest="d_range", help="lo:hi (table mode)")
 
-    p = with_format(sub.add_parser("check", help="run every exact identity"))
+    p = sub.add_parser("check", parents=[fmt], help="run every exact identity")
     p.add_argument("--d-range", dest="d_range", default="3:100")
 
-    p = with_format(
-        sub.add_parser(
-            "adapted-basis",
-            help="construct an adapted basis from a problem description",
-        )
+    p = sub.add_parser(
+        "adapted-basis",
+        parents=[fmt],
+        help="construct an adapted basis from a problem description",
     )
     p.add_argument("--input", required=True, help="JSON file with g, d, U, gram, U_A, U_E")
 
-    p = with_format(sub.add_parser("period", help="Riemann matrix of the family"))
+    p = sub.add_parser("period", parents=[fmt], help="Riemann matrix of the family")
     p.add_argument("--g", type=int, choices=(2, 3), required=True)
     p.add_argument("--d", type=int, required=True)
     p.add_argument("--Z", required=True, help="complex matrix as JSON")
     p.add_argument("--z", required=True, help="re,im in the upper half plane")
     p.add_argument("--tol", type=float)
 
-    p = with_format(sub.add_parser("monodromy", help="monodromy matrix at the cusp"))
+    p = sub.add_parser("monodromy", parents=[fmt], help="monodromy matrix at the cusp")
     p.add_argument("--g", type=int, choices=(2, 3), required=True)
     p.add_argument("--d", type=int, required=True)
     p.add_argument("--case", choices=("regular", "irregular"), default="regular")
 
-    p = with_format(
-        sub.add_parser("polarization", help="polarization type of an alternating form")
+    p = sub.add_parser(
+        "polarization", parents=[fmt], help="polarization type of an alternating form"
     )
     p.add_argument("--gram", required=True, help="integer matrix as JSON")
 
-    p = with_format(
-        sub.add_parser(
-            "distinguish",
-            help="compare monodromies by symplectic conjugacy invariants",
-        )
+    p = sub.add_parser(
+        "distinguish",
+        parents=[fmt],
+        help="compare monodromies by symplectic conjugacy invariants",
     )
     p.add_argument("--a", help="first matrix as JSON (default: regular case)")
     p.add_argument("--b", help="second matrix as JSON (default: irregular case)")
@@ -120,57 +119,43 @@ def _parse_range(text: str) -> tuple[int, int]:
     return lo, hi
 
 
-def _cmd_modular(args) -> tuple[str, int]:
+def _cmd_modular(args) -> tuple[object, tuple | None, int]:
     from .modular import modular_data
 
-    data = modular_data(args.d)
-    if args.format == "json":
-        return encode_json(data), 0
-    row = (data.d, data.delta, data.genus, data.cusps)
-    return tsv_table(("d", "delta", "genus", "cusps"), [row]), 0
+    return modular_data(args.d), None, 0
 
 
-def _cmd_invariants(args) -> tuple[str, int]:
-    from .invariants import SurfaceInvariants, invariants_g2, invariants_g3
+def _cmd_invariants(args) -> tuple[object, tuple | None, int]:
+    from .invariants import invariants_g2, invariants_g3
 
     table = invariants_g2 if args.g == 2 else invariants_g3
     if args.mode == "table":
         if not args.d_range:
             raise UsageError("table mode needs --d-range lo:hi")
         lo, hi = _parse_range(args.d_range)
-        invs = [table(d) for d in range(lo, hi + 1)]
-    elif args.d is None:
+        return [table(d) for d in range(lo, hi + 1)], None, 0
+    if args.d is None:
         raise UsageError("--d is required (or use the 'table' mode)")
-    else:
-        invs = [table(args.d)]
-    if args.format == "json":
-        return encode_json(invs if args.mode == "table" else invs[0]), 0
-    names = [f.name for f in fields(SurfaceInvariants)]
-    rows = [[getattr(inv, name) for name in names] for inv in invs]
-    return tsv_table([field_name(name) for name in names], rows), 0
+    return table(args.d), None, 0
 
 
-def _cmd_check(args) -> tuple[str, int]:
+def _cmd_check(args) -> tuple[object, tuple | None, int]:
     from .invariants import run_identity_checks
 
     lo, hi = _parse_range(args.d_range)
     results = run_identity_checks(lo, hi)
     all_ok = all(passed for _, passed in results)
-    if args.format == "json":
-        out = encode_json(
-            {
-                "d_range": f"{lo}:{hi}",
-                "results": dict(results),
-                "all_passed": all_ok,
-            }
-        )
-    else:
-        out = tsv_table(("identity", "passed"), results)
-        out += "all identities passed\n" if all_ok else "identity failures detected\n"
-    return out, 0 if all_ok else 1
+    payload = {
+        "d_range": f"{lo}:{hi}",
+        "results": dict(results),
+        "all_passed": all_ok,
+    }
+    verdict = "all identities passed" if all_ok else "identity failures detected"
+    table = ("identity", "passed"), [*results, (verdict,)]
+    return payload, table, 0 if all_ok else 1
 
 
-def _cmd_adapted_basis(args) -> tuple[str, int]:
+def _cmd_adapted_basis(args) -> tuple[object, tuple | None, int]:
     from .adapted import AdaptedBasisProblem, construct_adapted_basis
     from .lattice_core import AlternatingForm
 
@@ -205,14 +190,12 @@ def _cmd_adapted_basis(args) -> tuple[str, int]:
         "vectors": vectors,
         "adapted": True,  # construct_adapted_basis raises unless it verified this
     }
-    if args.format == "json":
-        return encode_json(payload), 0
     rows = [(lab, *vec) for lab, vec in zip(labels, vectors)]
     header = ("section",) + tuple(f"x{i}" for i in range(1, len(vectors[0]) + 1))
-    return tsv_table(header, rows), 0
+    return payload, (header, rows), 0
 
 
-def _cmd_period(args) -> tuple[str, int]:
+def _cmd_period(args) -> tuple[object, tuple | None, int]:
     from .periods import PeriodData, default_tolerance, period_matrix
 
     z_mat = parse_complex_matrix(_loads(args.Z, "--Z"))
@@ -220,33 +203,26 @@ def _cmd_period(args) -> tuple[str, int]:
     tol = args.tol if args.tol is not None else default_tolerance()
     p = PeriodData(g=args.g, d=args.d, Z=z_mat, z=z, tol=tol)
     pm = period_matrix(p)
-    if args.format == "json":
-        payload = {
-            "T": complex_matrix_jsonable(pm.T),
-            "basis_labels": list(pm.basis_labels),
-        }
-        return encode_json(payload), 0
-    return tsv_table(
-        tuple(f"T{j}" for j in range(1, args.g + 1)),
-        [tuple(row) for row in pm.T],
-    ), 0
+    payload = {
+        "T": complex_matrix_jsonable(pm.T),
+        "basis_labels": list(pm.basis_labels),
+    }
+    header = tuple(f"T{j}" for j in range(1, args.g + 1))
+    return payload, (header, pm.T), 0
 
 
-def _cmd_monodromy(args) -> tuple[str, int]:
+def _cmd_monodromy(args) -> tuple[object, tuple | None, int]:
     from .modular import IRREGULAR, REGULAR
     from .periods import monodromy_at_cusp
 
     case = REGULAR if args.case == "regular" else IRREGULAR
     mono = monodromy_at_cusp(args.g, args.d, case)
-    if args.format == "json":
-        return encode_json({"cusp_case": mono.cusp_case, "m": mono.m.m}), 0
-    return tsv_table(
-        tuple(f"c{j}" for j in range(1, mono.m.m.cols + 1)),
-        mono.m.m.tolists(),
-    ), 0
+    m = mono.m.m
+    header = tuple(f"c{j}" for j in range(1, m.cols + 1))
+    return {"cusp_case": mono.cusp_case, "m": m}, (header, m.tolists()), 0
 
 
-def _cmd_polarization(args) -> tuple[str, int]:
+def _cmd_polarization(args) -> tuple[object, tuple | None, int]:
     from .lattice_core import AlternatingForm, associated_degree, polarization_type
 
     form = AlternatingForm(parse_int_matrix(_loads(args.gram, "--gram")))
@@ -256,18 +232,16 @@ def _cmd_polarization(args) -> tuple[str, int]:
     except NotCoprincipal:
         degree = None
     det = form.gram.det()
-    if args.format == "json":
-        payload = {
-            "type": list(ptype.divisors),
-            "degree": degree,
-            "det": det,
-        }
-        return encode_json(payload), 0
+    payload = {
+        "type": list(ptype.divisors),
+        "degree": degree,
+        "det": det,
+    }
     row = (",".join(str(v) for v in ptype.divisors), degree, det)
-    return tsv_table(("type", "degree", "det"), [row]), 0
+    return payload, (("type", "degree", "det"), [row]), 0
 
 
-def _cmd_distinguish(args) -> tuple[str, int]:
+def _cmd_distinguish(args) -> tuple[object, tuple | None, int]:
     from .modular import IRREGULAR, REGULAR
     from .periods import compare_monodromies, monodromy_at_cusp
 
@@ -280,15 +254,13 @@ def _cmd_distinguish(args) -> tuple[str, int]:
         ma = monodromy_at_cusp(args.g, args.d, REGULAR).m.m
         mb = monodromy_at_cusp(args.g, args.d, IRREGULAR).m.m
     result, inv_a, inv_b = compare_monodromies(ma, mb)
-    if args.format == "json":
-        payload = {"result": result, "a": inv_a, "b": inv_b}
-        return encode_json(payload), 0
+    payload = {"result": result, "a": inv_a, "b": inv_b}
     rows = [
         ("result", result),
         ("a_unipotent", inv_a.unipotent),
         ("b_unipotent", inv_b.unipotent),
     ]
-    return tsv_table(("key", "value"), rows), 0
+    return payload, (("key", "value"), rows), 0
 
 
 _HANDLERS = {
@@ -306,12 +278,12 @@ _HANDLERS = {
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        out, code = _HANDLERS[args.command](args)
+        value, table, code = _HANDLERS[args.command](args)
     except UsageError as exc:
         sys.stderr.write(f"usage error: {exc}\n")
         return 2
     except DomainError as exc:
-        if getattr(args, "format", "json") == "json":
+        if args.format == "json":
             sys.stderr.write(
                 json.dumps(
                     {"error": exc.code, "message": str(exc)}, sort_keys=True
@@ -321,7 +293,10 @@ def main(argv: list[str] | None = None) -> int:
         else:
             sys.stderr.write(f"{exc.code}: {exc}\n")
         return 1
-    sys.stdout.write(out)
+    if args.format == "json":
+        sys.stdout.write(encode_json(value))
+    else:
+        sys.stdout.write(tsv_table(*(record_table(value) if table is None else table)))
     return code
 
 

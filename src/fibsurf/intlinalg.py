@@ -159,6 +159,7 @@ class IntMatrix:
         )
 
     def scale(self, k: int) -> "IntMatrix":
+        _int_argument(k, "the scale factor k")
         return IntMatrix._of(tuple(tuple(k * x for x in r) for r in self._e))
 
     def transpose(self) -> "IntMatrix":
@@ -176,7 +177,7 @@ class IntMatrix:
         return self.rows == self.cols
 
     def power(self, k: int) -> "IntMatrix":
-        if not self.is_square() or k < 0:
+        if not self.is_square() or _int_argument(k, "the exponent k") < 0:
             raise DimensionMismatch("power needs a square matrix and k >= 0")
         result = IntMatrix.identity(self.rows)
         base = self

@@ -23,7 +23,7 @@ from .errors import UsageError
 # exact core.
 
 
-def field_name(name: str) -> str:
+def _field_name(name: str) -> str:
     """The JSON key or TSV column of a dataclass field (``lambda_`` -> "lambda")."""
     return name[:-1] if name.endswith("_") else name
 
@@ -55,7 +55,7 @@ def to_jsonable(obj):
         return str(obj)
     if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
         return {
-            field_name(f.name): to_jsonable(getattr(obj, f.name))
+            _field_name(f.name): to_jsonable(getattr(obj, f.name))
             for f in dataclasses.fields(obj)
             if f.compare
         }
@@ -117,6 +117,13 @@ def tsv_table(header, rows) -> str:
     return "\n".join(lines) + "\n"
 
 
+def record_table(value) -> tuple[list[str], list[list]]:
+    """The TSV header and rows of a record or a list of records: one row per
+    record, its JSON values in field order under its JSON keys."""
+    objs = [to_jsonable(r) for r in (value if isinstance(value, list) else [value])]
+    return list(objs[0]), [list(obj.values()) for obj in objs]
+
+
 def read_int(v, what: str) -> int:
     """A JSON integer or a decimal string, never a bool; anything else is a
     UsageError naming ``what``."""
@@ -140,6 +147,7 @@ def read_int(v, what: str) -> int:
 # and up to 10 s at 24x24 with 6-digit entries
 _MAX_MATRIX_DIM = 20
 _MAX_ENTRY_DIGITS = 6
+_ROWS_RULE = "matrix rows must be nonempty JSON arrays of equal length"
 
 
 def parse_int_matrix(data) -> IntMatrix:
@@ -150,10 +158,9 @@ def parse_int_matrix(data) -> IntMatrix:
     entries = data.get("entries") if isinstance(data, dict) else data
     if not isinstance(entries, list) or not entries:
         raise UsageError("expected a nonempty matrix")
-    try:
-        rows = [[read_int(v, "matrix entry") for v in row] for row in entries]
-    except TypeError as exc:
-        raise UsageError(f"malformed integer matrix: {exc}") from exc
+    if not all(isinstance(row, list) for row in entries):
+        raise UsageError(_ROWS_RULE)
+    rows = [[read_int(v, "matrix entry") for v in row] for row in entries]
     width = max(map(len, rows))
     if max(len(rows), width) > _MAX_MATRIX_DIM:
         raise UsageError(
@@ -161,7 +168,7 @@ def parse_int_matrix(data) -> IntMatrix:
             f"{_MAX_MATRIX_DIM} rows and {_MAX_MATRIX_DIM} columns"
         )
     if not width or any(len(row) != width for row in rows):
-        raise UsageError("matrix rows must be nonempty and of equal length")
+        raise UsageError(_ROWS_RULE)
     if any(abs(v) >= 10**_MAX_ENTRY_DIGITS for row in rows for v in row):
         raise UsageError(f"matrix entries exceed the cap of {_MAX_ENTRY_DIGITS} decimal digits")
     if isinstance(data, dict):

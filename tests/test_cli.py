@@ -178,6 +178,9 @@ def test_check_names_the_failing_identity(capsys, monkeypatch):
     assert code == 1
     results = json.loads(out)["results"]
     assert [name for name, ok in results.items() if not ok] == ["h_derivation"]
+    code, out, _ = run_cli(capsys, ["check", "--d-range", "3:5", "--format", "tsv"])
+    assert code == 1
+    assert out.endswith("\nidentity failures detected\n")
 
     code, out, err = run_cli(capsys, ["invariants", "--g", "3", "--d", "5"])
     assert code == 1 and out == ""
@@ -489,10 +492,17 @@ def test_polarization_rejects_malformed_shape(capsys, shape):
     assert err.startswith("usage error:")
 
 
-@pytest.mark.parametrize("gram", ["[[0,1],[-1]]", "[[]]", "[[0,1],[]]"])
+@pytest.mark.parametrize(
+    "gram",
+    ["[[0,1],[-1]]", "[[]]", "[[0,1],[]]", '["12", "34"]', '[{"1": 0, "2": 0}, {"3": 0, "4": 0}]'],
+)
 def test_polarization_refuses_ragged_and_empty_rows(capsys, gram):
-    """Like every other malformed matrix: exit 2, not a DimensionMismatch."""
+    """Like every other malformed matrix: exit 2, not a DimensionMismatch.
+    A row that is not a JSON array is refused, not iterated as one."""
     code, out, err = run_cli(capsys, ["polarization", "--gram", gram])
+    assert code == 2 and out == ""
+    assert err.startswith("usage error:") and "equal length" in err
+    code, out, err = run_cli(capsys, ["distinguish", "--a", gram, "--b", gram])
     assert code == 2 and out == ""
     assert err.startswith("usage error:") and "equal length" in err
 

@@ -217,3 +217,9 @@ def test_immutability():
 def test_power_rejects_negative_exponent():
     with pytest.raises(DimensionMismatch):
         IntMatrix([[1, 1], [1, 1]]).power(-1)
+    m = IntMatrix([[1, 2], [3, 4]])
+    with pytest.raises(InvalidArgument, match="scale factor"):
+        m.scale(0.5)
+    for k in (2.5, True):
+        with pytest.raises(InvalidArgument, match="exponent"):
+            m.power(k)
