@@ -86,14 +86,14 @@ def _column_matrix(cols) -> IntMatrix:
 def _mat_vec(m: IntMatrix, v: Sequence[int]) -> tuple[int, ...]:
     if m.cols != len(v):
         raise DimensionMismatch("matrix-vector shape mismatch")
-    return tuple(sum(map(mul, r, v)) for r in m.entries())
+    return tuple([sum(map(mul, r, v)) for r in m.entries()])
 
 
 def _combo(vectors: Sequence[Sequence[int]], coeffs: Sequence[int]) -> tuple[int, ...]:
     """Integer linear combination of equal-length vectors."""
     if len(vectors) != len(coeffs):
         raise DimensionMismatch("coefficient count mismatch")
-    return tuple(sum(map(mul, coeffs, entries)) for entries in zip(*vectors))
+    return tuple([sum(map(mul, coeffs, entries)) for entries in zip(*vectors)])
 
 
 def _pairing(gram: IntMatrix, x: Sequence[int], y: Sequence[int]) -> int:

@@ -27,11 +27,21 @@ Conventions:
     way to factor a matrix: the ``SmithForm`` answers ``solve(b)`` and
     ``rank()`` itself, so a caller that solves several systems against the
     same matrix factors it once.
+  * products pick their kernel by the left operand alone: when at least a
+    quarter of its entries are zero, each result row is a combination of
+    the rows of the right operand, skipping zero coefficients and adding
+    or subtracting rows for +-1 ones; otherwise each entry is a dot
+    product.  The matrices of the exact core are sparse with unit entries;
+    the dot products are faster on dense ones.
+  * the Smith pivot is the first minimal-magnitude nonzero entry of the
+    trailing block in row-major order.  The search stops at the first
+    entry of magnitude 1, which is that entry, and a +-1 pivot skips the
+    scan that makes the pivot divide the rest of the block.
 """
 
 from __future__ import annotations
 
-from operator import mul
+from operator import add, mul, sub
 from typing import Iterable, NamedTuple, Sequence
 
 from .errors import (
@@ -111,10 +121,10 @@ class IntMatrix:
         return self._e[i]
 
     def column(self, j: int) -> tuple[int, ...]:
-        return tuple(r[j] for r in self._e)
+        return tuple([r[j] for r in self._e])
 
     def columns(self) -> list[tuple[int, ...]]:
-        return [self.column(j) for j in range(self.cols)]
+        return list(zip(*self._e))
 
     def entries(self) -> tuple[tuple[int, ...], ...]:
         return self._e
@@ -149,14 +159,39 @@ class IntMatrix:
         return self + (-other)
 
     def __mul__(self, other: "IntMatrix") -> "IntMatrix":
+        """Row combinations of ``other`` when at least a quarter of the
+        entries of ``self`` are zero (zero coefficients skipped, +-1 ones
+        add or subtract a row); dot products otherwise."""
         if self.cols != other.rows:
             raise DimensionMismatch(
                 f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}"
             )
-        cols = tuple(zip(*other._e))
-        return IntMatrix._of(
-            tuple(tuple(sum(map(mul, r, c)) for c in cols) for r in self._e)
-        )
+        e, b = self._e, other._e
+        if 4 * sum(r.count(0) for r in e) < self.rows * self.cols:
+            cols = tuple(zip(*b))
+            return IntMatrix._of(tuple([tuple([sum(map(mul, r, c)) for c in cols]) for r in e]))
+        zero = (0,) * other.cols
+        out = []
+        for r in e:
+            acc = None
+            for c, row in zip(r, b):
+                if not c:
+                    continue
+                if acc is None:
+                    if c == 1:
+                        acc = row
+                    elif c == -1:
+                        acc = tuple([-y for y in row])
+                    else:
+                        acc = tuple([c * y for y in row])
+                elif c == 1:
+                    acc = tuple(map(add, acc, row))
+                elif c == -1:
+                    acc = tuple(map(sub, acc, row))
+                else:
+                    acc = tuple([x + c * y for x, y in zip(acc, row)])
+            out.append(zero if acc is None else acc)
+        return IntMatrix._of(tuple(out))
 
     def scale(self, k: int) -> "IntMatrix":
         _int_argument(k, "the scale factor k")
@@ -326,14 +361,20 @@ def _smith_form(m: IntMatrix) -> SmithForm:
 
     k = 0
     while k < min(nr, nc):
-        # locate the minimal-magnitude nonzero entry in the trailing block
+        # locate the first minimal-magnitude nonzero entry of the trailing
+        # block in row-major order; a unit is minimal, so the search ends there
         pivot = None
         best = None
         for i in range(k, nr):
+            row = a[i]
             for j in range(k, nc):
-                v = abs(a[i][j])
+                v = abs(row[j])
                 if v and (best is None or v < best):
                     best, pivot = v, (i, j)
+                    if v == 1:
+                        break
+            if best == 1:
+                break
         if pivot is None:
             break
         swap_rows(k, pivot[0])
@@ -364,9 +405,12 @@ def _smith_form(m: IntMatrix) -> SmithForm:
                         break
             if restart:
                 continue
-            # enforce divisibility of the remaining block by the pivot
-            culprit = None
+            # enforce divisibility of the remaining block by the pivot; a unit
+            # divides everything
             p = a[k][k]
+            if p in (1, -1):
+                break
+            culprit = None
             for i in range(k + 1, nr):
                 for j in range(k + 1, nc):
                     if a[i][j] % p:

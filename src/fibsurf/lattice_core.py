@@ -9,7 +9,9 @@ divisor of a (1, ..., 1, d) type is the associated degree.
 Reduction strategy (deterministic on purpose, so outputs are reproducible):
 pivot on a minimal-magnitude nonzero pairing, ties broken by lowest
 (row, col) lexicographic position; clear the pivot's row and column; force
-the pivot to divide the remaining block before recursing.
+the pivot to divide the remaining block before recursing.  The pivot search
+stops at the first pairing of magnitude 1, which is the pivot that rule
+picks, and a unit pivot skips both divisibility scans.
 """
 
 from __future__ import annotations
@@ -45,11 +47,13 @@ class AlternatingForm:
             )
         if g.rows != g.cols:
             raise NotAlternating("gram matrix must be square")
-        for i in range(g.rows):
-            if g[i, i] != 0:
+        # one pass over the upper triangle, reading the stored rows directly
+        e = g.entries()
+        for i, row in enumerate(e):
+            if row[i]:
                 raise NotAlternating(f"nonzero diagonal entry at {i}")
             for j in range(i + 1, g.cols):
-                if g[i, j] != -g[j, i]:
+                if row[j] != -e[j][i]:
                     raise NotAlternating(f"gram[{i}][{j}] != -gram[{j}][{i}]")
 
     @property
@@ -138,8 +142,7 @@ def frobenius_basis(form: AlternatingForm) -> tuple[IntMatrix, PolarizationType]
         # basis vector dst += c * basis vector src
         for r in g_mat:
             r[dst] += c * r[src]
-        for j in range(n):
-            g_mat[dst][j] += c * g_mat[src][j]
+        g_mat[dst] = [x + c * y for x, y in zip(g_mat[dst], g_mat[src])]
         for r in p:
             r[dst] += c * r[src]
 
@@ -147,14 +150,20 @@ def frobenius_basis(form: AlternatingForm) -> tuple[IntMatrix, PolarizationType]
     for m in range(n // 2):
         base = 2 * m
         while True:
-            # deterministic pivot: minimal |pairing|, lowest (row, col) on ties
+            # deterministic pivot: minimal |pairing|, lowest (row, col) on
+            # ties; a unit is minimal, so the search ends at the first one
             pivot = None
             best = None
             for r in range(base, n):
+                row = g_mat[r]
                 for c in range(r + 1, n):
-                    v = abs(g_mat[r][c])
+                    v = abs(row[c])
                     if v and (best is None or v < best):
                         best, pivot = v, (r, c)
+                        if v == 1:
+                            break
+                if best == 1:
+                    break
             if pivot is None:
                 raise Degenerate("degenerate block during reduction")
             r, c = pivot
@@ -166,9 +175,13 @@ def frobenius_basis(form: AlternatingForm) -> tuple[IntMatrix, PolarizationType]
                 negate(base + 1)
             piv = g_mat[base][base + 1]
 
+            # a unit pivot divides everything, so both divisibility scans
+            # below stop before they start
+            stop = base + 2 if piv == 1 else n
+
             # make the pivot divide every pairing against e=base, f=base+1
             retry = False
-            for k in range(base + 2, n):
+            for k in range(base + 2, stop):
                 if g_mat[base][k] % piv:
                     add(base + 1, k, -(g_mat[base][k] // piv))
                     retry = True
@@ -191,7 +204,7 @@ def frobenius_basis(form: AlternatingForm) -> tuple[IntMatrix, PolarizationType]
 
             # pivot must divide the trailing block, else drag a witness in
             culprit = None
-            for i in range(base + 2, n):
+            for i in range(base + 2, stop):
                 for j in range(i + 1, n):
                     if g_mat[i][j] % piv:
                         culprit = i

@@ -216,3 +216,182 @@ def reference_change_basis(b, m, d):
     vectors[2 * g - 2] = new_u_2g1
     vectors[2 * g - 1] = new_u_2g2
     return AdaptedBasis(g=g, d=d, vectors=tuple(vectors))
+
+
+def reference_smith_form(m: IntMatrix):
+    """The earlier elimination behind ``smith_normal_form``, kept as an
+    oracle for its pivot rule: a full scan of the trailing block for the
+    first minimal-magnitude entry, and a divisibility scan for every pivot.
+    Returns the entries of D, S and T."""
+    a = m.tolists()
+    nr, nc = m.rows, m.cols
+    s = [[1 if i == j else 0 for j in range(nr)] for i in range(nr)]
+    t = [[1 if i == j else 0 for j in range(nc)] for i in range(nc)]
+
+    def swap_rows(i, j):
+        a[i], a[j] = a[j], a[i]
+        s[i], s[j] = s[j], s[i]
+
+    def swap_cols(i, j):
+        for x in (a, t):
+            for r in x:
+                r[i], r[j] = r[j], r[i]
+
+    def add_row(src, dst, c):
+        a[dst] = [x + c * y for x, y in zip(a[dst], a[src])]
+        s[dst] = [x + c * y for x, y in zip(s[dst], s[src])]
+
+    def add_col(src, dst, c):
+        for x in (a, t):
+            for r in x:
+                r[dst] += c * r[src]
+
+    k = 0
+    while k < min(nr, nc):
+        pivot = None
+        best = None
+        for i in range(k, nr):
+            for j in range(k, nc):
+                v = abs(a[i][j])
+                if v and (best is None or v < best):
+                    best, pivot = v, (i, j)
+        if pivot is None:
+            break
+        swap_rows(k, pivot[0])
+        if pivot[1] != k:
+            swap_cols(k, pivot[1])
+
+        while True:
+            restart = False
+            for i in range(k + 1, nr):
+                if a[i][k]:
+                    q, r = divmod(a[i][k], a[k][k])
+                    add_row(k, i, -q)
+                    if r:
+                        swap_rows(k, i)
+                        restart = True
+                        break
+            if restart:
+                continue
+            for j in range(k + 1, nc):
+                if a[k][j]:
+                    q, r = divmod(a[k][j], a[k][k])
+                    add_col(k, j, -q)
+                    if r:
+                        swap_cols(k, j)
+                        restart = True
+                        break
+            if restart:
+                continue
+            culprit = None
+            p = a[k][k]
+            for i in range(k + 1, nr):
+                for j in range(k + 1, nc):
+                    if a[i][j] % p:
+                        culprit = i
+                        break
+                if culprit is not None:
+                    break
+            if culprit is None:
+                break
+            add_row(culprit, k, 1)
+        if a[k][k] < 0:
+            a[k] = [-x for x in a[k]]
+            s[k] = [-x for x in s[k]]
+        k += 1
+
+    return tuple(tuple(map(tuple, x)) for x in (a, s, t))
+
+
+def reference_frobenius_basis(gram: IntMatrix):
+    """The earlier reduction behind ``frobenius_basis``, kept as an oracle
+    for its pivot rule: a full scan for the first minimal |pairing| and both
+    divisibility scans for every pivot.  Returns (basis entries, divisors);
+    raises ``ValueError`` where ``frobenius_basis`` raises ``Degenerate``."""
+    n = gram.rows
+    g_mat = gram.tolists()
+    p = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+
+    def swap(i, j):
+        if i == j:
+            return
+        for r in g_mat:
+            r[i], r[j] = r[j], r[i]
+        g_mat[i], g_mat[j] = g_mat[j], g_mat[i]
+        for r in p:
+            r[i], r[j] = r[j], r[i]
+
+    def negate(i):
+        for r in g_mat:
+            r[i] = -r[i]
+        g_mat[i] = [-x for x in g_mat[i]]
+        for r in p:
+            r[i] = -r[i]
+
+    def add(src, dst, c):
+        for r in g_mat:
+            r[dst] += c * r[src]
+        for j in range(n):
+            g_mat[dst][j] += c * g_mat[src][j]
+        for r in p:
+            r[dst] += c * r[src]
+
+    divisors = []
+    for m in range(n // 2):
+        base = 2 * m
+        while True:
+            pivot = None
+            best = None
+            for r in range(base, n):
+                for c in range(r + 1, n):
+                    v = abs(g_mat[r][c])
+                    if v and (best is None or v < best):
+                        best, pivot = v, (r, c)
+            if pivot is None:
+                raise ValueError("degenerate block during reduction")
+            r, c = pivot
+            swap(base, r)
+            if c == base:
+                c = r
+            swap(base + 1, c)
+            if g_mat[base][base + 1] < 0:
+                negate(base + 1)
+            piv = g_mat[base][base + 1]
+
+            retry = False
+            for k in range(base + 2, n):
+                if g_mat[base][k] % piv:
+                    add(base + 1, k, -(g_mat[base][k] // piv))
+                    retry = True
+                    break
+                if g_mat[base + 1][k] % piv:
+                    add(base, k, g_mat[base + 1][k] // piv)
+                    retry = True
+                    break
+            if retry:
+                continue
+
+            for k in range(base + 2, n):
+                a = g_mat[base + 1][k] // piv
+                b = -(g_mat[base][k] // piv)
+                if a:
+                    add(base, k, a)
+                if b:
+                    add(base + 1, k, b)
+
+            culprit = None
+            for i in range(base + 2, n):
+                for j in range(i + 1, n):
+                    if g_mat[i][j] % piv:
+                        culprit = i
+                        break
+                if culprit is not None:
+                    break
+            if culprit is None:
+                divisors.append(piv)
+                break
+            add(culprit, base + 1, 1)
+
+    g = n // 2
+    perm = [2 * j for j in range(g)] + [2 * j + 1 for j in range(g)]
+    return tuple(tuple(r[j] for j in perm) for r in p), tuple(divisors)

@@ -4,6 +4,8 @@ from random import Random
 
 import pytest
 import sympy
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fibsurf import (
     DimensionMismatch,
@@ -14,7 +16,7 @@ from fibsurf import (
 )
 from fibsurf.adapted import _xgcd
 from fibsurf.intlinalg import _column_lattice_basis, _unimodular_inverse
-from helpers import random_unimodular
+from helpers import random_unimodular, reference_smith_form
 
 
 def random_matrix(rng, rows, cols, bound=9):
@@ -223,3 +225,98 @@ def test_power_rejects_negative_exponent():
     for k in (2.5, True):
         with pytest.raises(InvalidArgument, match="exponent"):
             m.power(k)
+
+
+BIG = st.integers(-10**30, 10**30)
+LEFT_ENTRIES = {
+    "zeros": st.just(0),
+    "units": st.sampled_from((1, -1, 1, -1, 0)),
+    "dense": BIG.filter(bool),
+    "mixed": st.one_of(st.just(0), st.sampled_from((1, -1)), BIG),
+}
+
+
+def _matrix(draw, rows, cols, entries):
+    flat = draw(st.lists(entries, min_size=rows * cols, max_size=rows * cols))
+    return IntMatrix([flat[i * cols:(i + 1) * cols] for i in range(rows)])
+
+
+@st.composite
+def product_operands(draw):
+    """(A, B) with A of shape 1 x n, n x 1, n x n (n <= 8) or, rarely,
+    12 x 12 or 20 x 20; A's entries come from one of the styles in
+    LEFT_ENTRIES, so both sides of the zero-count threshold are reached."""
+    shape = draw(st.sampled_from(("row", "column", "square", "square", "square", "large")))
+    n = draw(st.integers(1, 8))
+    if shape == "row":
+        r, k, c = 1, n, draw(st.integers(1, 8))
+    elif shape == "column":
+        r, k, c = n, 1, draw(st.integers(1, 8))
+    elif shape == "square":
+        r = k = c = n
+    else:
+        r = k = c = draw(st.sampled_from((12, 20)))
+    style = draw(st.sampled_from(sorted(LEFT_ENTRIES)))
+    return _matrix(draw, r, k, LEFT_ENTRIES[style]), _matrix(draw, k, c, BIG)
+
+
+@settings(max_examples=250, deadline=None)
+@given(product_operands())
+def test_product_matches_triple_loop(operands):
+    a, b = operands
+    want = [
+        [sum(a[i, t] * b[t, j] for t in range(a.cols)) for j in range(b.cols)]
+        for i in range(a.rows)
+    ]
+    prod = a * b
+    assert prod.tolists() == want
+    assert all(type(r) is tuple for r in prod.entries())
+    for m in (a, b):
+        cols = m.columns()
+        assert cols == [m.column(j) for j in range(m.cols)]
+        assert all(type(c) is tuple for c in cols)
+
+
+def test_product_at_the_zero_threshold():
+    """A quarter of zeros takes the row-combination kernel and one zero
+    fewer the dot-product kernel; both give the same product."""
+    b = IntMatrix([[3, -1, 2, 5], [7, 0, -4, 1], [2, 2, 9, -3], [-6, 5, 1, 8]])
+    quarter = IntMatrix([[0, 1, -1, 2], [3, 0, -1, 1], [1, 5, 0, -2], [-1, 4, 2, 0]])
+    below = IntMatrix([[0, 1, -1, 2], [3, 0, -1, 1], [1, 5, 0, -2], [-1, 4, 2, 6]])
+    for a in (quarter, below):
+        assert (a * b).tolists() == (sympy.Matrix(a.tolists()) * sympy.Matrix(b.tolists())).tolist()
+
+
+@st.composite
+def smith_inputs(draw):
+    """Matrices up to 6 x 6 whose eliminations hit the pivot rule's edge
+    cases: +-1 ties, zero, singular and rank-deficient matrices, and large
+    entries."""
+    rows, cols = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    kind = draw(st.sampled_from(("units", "small", "zero", "singular", "low_rank", "large")))
+    if kind == "zero":
+        return IntMatrix.zero(rows, cols)
+    if kind == "low_rank":
+        k = draw(st.integers(1, max(1, min(rows, cols) - 1)))
+        small = st.integers(-3, 3)
+        return _matrix(draw, rows, k, small) * _matrix(draw, k, cols, small)
+    if kind == "singular":
+        n = max(rows, 2)
+        m = _matrix(draw, n - 1, n, st.integers(-4, 4)).tolists()
+        c = draw(st.sampled_from((1, -1, 2)))
+        return IntMatrix(m + [[c * x for x in m[draw(st.integers(0, n - 2))]]])
+    entries = {
+        "units": st.sampled_from((1, -1, 0)),
+        "small": st.integers(-4, 4),
+        "large": st.integers(-10**12, 10**12),
+    }[kind]
+    return _matrix(draw, rows, cols, entries)
+
+
+@settings(max_examples=300, deadline=None)
+@given(smith_inputs())
+def test_smith_pivot_rule_matches_reference(m):
+    """Stopping the pivot search at a unit and skipping the divisibility
+    scan for a +-1 pivot leave D, S and T unchanged."""
+    snf = smith_normal_form(m)
+    assert (snf.d.entries(), snf.s.entries(), snf.t.entries()) == reference_smith_form(m)

@@ -31,7 +31,12 @@ from fibsurf import (
     standard_symplectic_gram,
 )
 from fibsurf.intlinalg import _unimodular_inverse
-from helpers import gram_in_basis, random_symplectic, random_unimodular
+from helpers import (
+    gram_in_basis,
+    random_symplectic,
+    random_unimodular,
+    reference_frobenius_basis,
+)
 
 
 def test_standard_gram_shape():
@@ -46,6 +51,13 @@ def test_alternating_form_rejects_bad_grams():
         AlternatingForm(IntMatrix([[0, 1], [1, 0]]))
     with pytest.raises(NotAlternating):
         AlternatingForm(IntMatrix([[0, 1, 0], [-1, 0, 0]]))
+
+
+def test_alternating_form_names_the_first_bad_entry():
+    with pytest.raises(NotAlternating, match=r"nonzero diagonal entry at 1"):
+        AlternatingForm(IntMatrix([[0, 1, 2], [-1, 3, 0], [-2, 0, 5]]))
+    with pytest.raises(NotAlternating, match=r"gram\[0\]\[2\] != -gram\[2\]\[0\]"):
+        AlternatingForm(IntMatrix([[0, 1, 2], [-1, 0, 4], [2, 4, 0]]))
 
 
 def test_alternating_form_refuses_a_gram_that_is_not_an_intmatrix():
@@ -272,3 +284,49 @@ def test_unipotent_matches_nilpotent_power(m):
     for _ in range(n - 1):
         power = power * nilpart
     assert conjugacy_invariants(m).unipotent == power.is_zero()
+
+
+@st.composite
+def pinned_forms(draw):
+    """Alternating forms whose reductions hit the pivot rule's edge cases:
+    +-1 ties, the zero form, and X^T J X for a block normal J of a random
+    type, with X of full rank, of lower rank or not square."""
+    kind = draw(st.sampled_from(("ties", "zero", "xjx", "xjx", "singular_x")))
+    if kind in ("ties", "zero"):
+        n = 2 * draw(st.integers(1, 3))
+        values = st.sampled_from((1, -1, 0)) if kind == "ties" else st.just(0)
+        rows = [[0] * n for _ in range(n)]
+        for i in range(n):
+            for j in range(i + 1, n):
+                rows[i][j] = draw(values)
+                rows[j][i] = -rows[i][j]
+        return IntMatrix(rows)
+    g = draw(st.integers(1, 3))
+    divisors = [1]
+    for _ in range(g - 1):
+        divisors.append(divisors[-1] * draw(st.sampled_from((1, 1, 2, 3))))
+    j = block_normal_gram(PolarizationType(tuple(divisors)))
+    n = 2 * g
+    m = 2 * draw(st.integers(1, g))
+    x = [draw(st.lists(st.integers(-3, 3), min_size=m, max_size=m)) for _ in range(n)]
+    if kind == "singular_x" and m > 1:
+        col = draw(st.integers(1, m - 1))
+        for r in x:
+            r[col] = r[0]
+    x = IntMatrix(x)
+    return x.transpose() * j * x
+
+
+@settings(max_examples=300, deadline=None)
+@given(pinned_forms())
+def test_frobenius_pivot_rule_matches_reference(gram):
+    """Stopping the pivot search at a unit and skipping the divisibility
+    scans for a unit pivot leave the basis and the type unchanged."""
+    try:
+        want = reference_frobenius_basis(gram)
+    except ValueError:
+        with pytest.raises(Degenerate):
+            frobenius_basis(AlternatingForm(gram))
+        return
+    basis, ptype = frobenius_basis(AlternatingForm(gram))
+    assert (basis.entries(), ptype.divisors) == want
