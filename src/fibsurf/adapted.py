@@ -33,8 +33,11 @@ construction below mirrors the existence proof, made fully explicit:
 Verification: ``is_adapted_basis`` checks the three defining conditions in
 full once per (problem, basis) pair and records the problem object on the
 basis, so a later call with the same problem object answers at once.  Both
-dataclasses are frozen over immutable data, so the answer cannot go stale;
-an equal but distinct problem or basis is checked again.
+are frozen records (``errors.Record``) over immutable data: an attribute
+cannot be assigned, and ``_replace`` builds a new record, with no memo.  So
+the answer cannot go stale.  A record equals only a record of its own class
+with equal fields, never a plain tuple; an equal but distinct problem or
+basis is checked again.
 
 Basis changes: for M in SL_2(Z) acting on the pair (u_g, u_{2g}), the
 transformed tuple is again adapted iff M is congruent to the identity mod
@@ -49,7 +52,6 @@ linearly dependent listed vectors it can differ from what a solve finds.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import cached_property
 from math import gcd
 from operator import mul
@@ -63,6 +65,7 @@ from .errors import (
     NotUnimodular,
     PostconditionFailed,
     QuotientNotBicyclic,
+    Record,
     _int_argument,
 )
 from .intlinalg import IntMatrix, SmithForm, _column_lattice_basis, smith_normal_form
@@ -118,8 +121,7 @@ def _xgcd(a: int, b: int) -> tuple[int, int, int]:
     return old_r, old_x, old_y
 
 
-@dataclass(frozen=True)
-class AdaptedBasisProblem:
+class AdaptedBasisProblem(Record):
     """Input data: ambient form plus column-generator matrices for U, U_A, U_E.
 
     The Smith form of U is computed on first use and kept with the problem,
@@ -128,12 +130,12 @@ class AdaptedBasisProblem:
     declared data.
     """
 
-    g: int
-    d: int
-    U: IntMatrix
-    form: AlternatingForm
-    U_A: IntMatrix
-    U_E: IntMatrix
+    _fields = ("g", "d", "U", "form", "U_A", "U_E")
+
+    def __init__(
+        self, g: int, d: int, U: IntMatrix, form: AlternatingForm, U_A: IntMatrix, U_E: IntMatrix
+    ):
+        self.__dict__.update(g=g, d=d, U=U, form=form, U_A=U_A, U_E=U_E)
 
     @cached_property
     def factored_U(self) -> SmithForm:
@@ -155,33 +157,27 @@ class _NotAdapted:
 NOT_ADAPTED = _NotAdapted()
 
 
-@dataclass(frozen=True)
-class AdaptedBasis:
+class AdaptedBasis(Record):
     """The 2g listed vectors of an adapted basis, in the order
     u_1..u_g, u_{g+1}..u_{2g-2}, u_{2g+1}, u_{2g+2} (ambient coordinates);
     u_{2g-1} and u_{2g} are derived."""
 
-    g: int
-    d: int
-    vectors: tuple[Vector, ...]
-    # the problem object this basis last passed is_adapted_basis against
-    _verified_for: AdaptedBasisProblem | None = field(
-        default=None, init=False, repr=False, compare=False
-    )
+    _fields = ("g", "d", "vectors")
+    # memo: the problem object this basis last passed is_adapted_basis against
+    _verified_for: AdaptedBasisProblem | None = None
 
-    def __post_init__(self):
-        g, d = _int_argument(self.g, "the genus g"), _int_argument(self.d, "the degree d")
+    def __init__(self, g: int, d: int, vectors: tuple[Vector, ...]):
+        g, d = _int_argument(g, "the genus g"), _int_argument(d, "the degree d")
         if g < 2 or d < 2:
             raise DimensionMismatch("adapted bases need g >= 2 and d >= 2")
-        if len(self.vectors) != 2 * self.g:
-            raise DimensionMismatch(
-                f"expected {2 * self.g} vectors, got {len(self.vectors)}"
-            )
-        n = len(self.vectors[0])
-        if n == 0 or any(len(v) != n for v in self.vectors):
+        if len(vectors) != 2 * g:
+            raise DimensionMismatch(f"expected {2 * g} vectors, got {len(vectors)}")
+        n = len(vectors[0])
+        if n == 0 or any(len(v) != n for v in vectors):
             raise DimensionMismatch("ambient dimensions differ between vectors or are 0")
-        if any(type(c) is not int for v in self.vectors for c in v):
+        if any(type(c) is not int for v in vectors for c in v):
             raise InvalidArgument("adapted basis vectors must have int entries")
+        self.__dict__.update(g=g, d=d, vectors=vectors)
 
     def u(self, i: int) -> Vector:
         """The section u_i, 1 <= i <= 2g+2 (derived vectors computed)."""

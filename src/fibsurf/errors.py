@@ -1,12 +1,64 @@
-"""Error hierarchy shared by every module.
+"""Error hierarchy and record base shared by every module.
 
 Each error carries a stable machine-readable ``code`` (used by the CLI's JSON
 error output) equal to the class name.  All domain errors derive from
 :class:`DomainError`, so callers can catch one type.  ``_int_argument`` is
-the one check that an integer argument is an int, shared by every layer.
+the one check that an integer argument is an int, and ``_rows_argument``
+the one check that a matrix argument is a sequence of rows and no text,
+shared by every layer.  :class:`Record` is the base of every answer record.
 """
 
 from __future__ import annotations
+
+from operator import attrgetter
+
+
+class Record:
+    """Base of the package's frozen answer records.
+
+    A subclass lists its fields in ``_fields`` and writes its own
+    ``__init__``, which validates the arguments and then stores them with
+    ``self.__dict__.update(...)``, in field order.  A record equals only a
+    record of the same class with equal fields (never a plain tuple or
+    another record type), hashes by its fields, and has the repr
+    ``Name(field=value, ...)``.  Assigning or deleting an attribute raises
+    ``AttributeError``; ``_replace(**changes)`` builds a new record through
+    ``__init__``, so it is validated again.  A memo (a value derived from
+    the fields and kept on the instance) is no field: it stays out of
+    equality, hashing, the repr and ``serialize``."""
+
+    _fields: tuple[str, ...] = ()
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        # what equality and hashing compare: the field values, in C (one
+        # value alone for a one-field record)
+        cls._key = attrgetter(*cls._fields)
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, f) for f in self._fields])
+
+    def _replace(self, **changes):
+        return type(self)(**dict(zip(self._fields, self._values()), **changes))
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            key = self._key
+            return key(self) == key(other)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._key(self))
+
+    def __repr__(self) -> str:
+        body = ", ".join(f"{f}={v!r}" for f, v in zip(self._fields, self._values()))
+        return f"{type(self).__qualname__}({body})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign {name!r}: {type(self).__name__} is a frozen record")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete {name!r}: {type(self).__name__} is a frozen record")
 
 
 class DomainError(Exception):
@@ -138,6 +190,30 @@ def _int_argument(value, what: str) -> int:
     if not isinstance(value, int) or isinstance(value, bool):
         raise InvalidArgument(f"{what} must be an integer, got {value!r}")
     return value
+
+
+_TEXT = (str, bytes, bytearray)
+_ROW_TYPES = frozenset((list, tuple))
+
+
+def _rows_argument(value, what: str) -> tuple[tuple, ...]:
+    """The rows of the matrix ``value`` as tuples.  ``value`` is read once,
+    so it may be an iterator.  Refused with InvalidArgument naming ``what``
+    when ``value`` or one of its rows is not iterable or is text (a str,
+    bytes or bytearray), which would otherwise be read as a row or as the
+    entries of one, character by character."""
+    if isinstance(value, _TEXT):
+        raise InvalidArgument(f"{what} must be a sequence of rows, not text, got {value!r}")
+    try:
+        outer = tuple(value)
+        # rows that are lists or tuples, the usual case, need no text check
+        if not _ROW_TYPES.issuperset(map(type, outer)):
+            for row in outer:
+                if isinstance(row, _TEXT):
+                    raise InvalidArgument(f"{what} rows must not be text, got {row!r}")
+        return tuple(map(tuple, outer))
+    except TypeError as exc:
+        raise InvalidArgument(f"{what} rows must be sequences: {exc}") from exc
 
 
 # --- CLI --------------------------------------------------------------------

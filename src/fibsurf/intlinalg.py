@@ -14,7 +14,8 @@ Conventions:
     tuples.
   * the public constructor ``IntMatrix(rows)`` takes ``int`` entries and
     anything exactly integral (a bool, an integral float, a decimal string),
-    and refuses any other entry with ``InvalidArgument`` and empty or ragged
+    and refuses any other entry, and a matrix or row that is text (a str,
+    bytes or bytearray), with ``InvalidArgument``, and empty or ragged
     input with ``DimensionMismatch``.  Matrices this module produces itself
     (products, sums, transposes, Smith transforms, solutions) are built
     with the trusted ``IntMatrix._of(rows)``, which takes a ready non-empty
@@ -49,6 +50,7 @@ from .errors import (
     InvalidArgument,
     PostconditionFailed,
     _int_argument,
+    _rows_argument,
 )
 
 
@@ -58,10 +60,7 @@ class IntMatrix:
     __slots__ = ("rows", "cols", "_e")
 
     def __init__(self, entries: Iterable[Iterable[int]]):
-        try:
-            rows = tuple(map(tuple, entries))
-        except TypeError as exc:
-            raise InvalidArgument(f"matrix rows must be sequences: {exc}") from exc
+        rows = _rows_argument(entries, "matrix")
         if not all(type(x) is int for r in rows for x in r):
             rows = tuple(tuple(map(_exact_int, r)) for r in rows)
         if not rows or not rows[0]:

@@ -24,7 +24,6 @@ tables leave the genus-3-only fields as None.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import (
@@ -33,47 +32,68 @@ from .errors import (
     InfeasibleCover,
     InvalidArgument,
     LevelTooSmall,
+    Record,
     UnsupportedGenus,
     _int_argument,
 )
 from .modular import delta, modular_data
 
 
-@dataclass(frozen=True)
-class SurfaceInvariants:
-    g: int
-    d: int
-    delta: Fraction
-    base_genus: int
-    s: int
-    c2: int
-    chi: int
-    K2: int
-    tau: int | None = None
-    H: int | None = None
-    lambda_: int | None = None
-    delta0: int | None = None
-    delta1: int | None = None
-    general_type: bool = True
+class SurfaceInvariants(Record):
+    _fields = (
+        "g", "d", "delta", "base_genus", "s", "c2", "chi", "K2",
+        "tau", "H", "lambda_", "delta0", "delta1", "general_type",
+    )
+
+    def __init__(
+        self,
+        g: int,
+        d: int,
+        delta: Fraction,
+        base_genus: int,
+        s: int,
+        c2: int,
+        chi: int,
+        K2: int,
+        tau: int | None = None,
+        H: int | None = None,
+        lambda_: int | None = None,
+        delta0: int | None = None,
+        delta1: int | None = None,
+        general_type: bool = True,
+    ):
+        self.__dict__.update(
+            g=g, d=d, delta=delta, base_genus=base_genus, s=s, c2=c2, chi=chi, K2=K2,
+            tau=tau, H=H, lambda_=lambda_, delta0=delta0, delta1=delta1,
+            general_type=general_type,
+        )
 
 
-@dataclass(frozen=True)
-class SingularFibreType:
-    genus: int
-    variant: str
-    euler_defect: int
+class SingularFibreType(Record):
+    _fields = ("genus", "variant", "euler_defect")
+
+    def __init__(self, genus: int, variant: str, euler_defect: int):
+        self.__dict__.update(genus=genus, variant=variant, euler_defect=euler_defect)
 
 
-@dataclass(frozen=True)
-class FibreTypeCatalogue:
+class FibreTypeCatalogue(Record):
     """Enumerated singular-fibre shapes for one fibre genus, together with
     the defect rule for hyperelliptic fibres and the semistability flag
     (both asserted only for genus 3)."""
 
-    genus: int
-    types: tuple[SingularFibreType, ...]
-    hyperelliptic_defect: int | None
-    semistable: bool | None
+    _fields = ("genus", "types", "hyperelliptic_defect", "semistable")
+
+    def __init__(
+        self,
+        genus: int,
+        types: tuple[SingularFibreType, ...],
+        hyperelliptic_defect: int | None,
+        semistable: bool | None,
+    ):
+        self.__dict__.update(
+            genus=genus, types=types, hyperelliptic_defect=hyperelliptic_defect,
+            semistable=semistable,
+        )
 
 
 TWO_ELLIPTIC_ONE_NODE = "TwoEllipticOneNode"

@@ -16,7 +16,6 @@ picks, and a unit pivot skips both divisibility scans.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import comb
 
 from .errors import (
@@ -28,52 +27,52 @@ from .errors import (
     NotSymplectic,
     OddDimension,
     PostconditionFailed,
+    Record,
     _int_argument,
 )
 from .intlinalg import IntMatrix, char_poly, smith_normal_form
 
 
-@dataclass(frozen=True)
-class AlternatingForm:
+class AlternatingForm(Record):
     """An integer alternating bilinear form given by its Gram matrix."""
 
-    gram: IntMatrix
+    _fields = ("gram",)
 
-    def __post_init__(self):
-        g = self.gram
-        if not isinstance(g, IntMatrix):
+    def __init__(self, gram: IntMatrix):
+        if not isinstance(gram, IntMatrix):
             raise InvalidArgument(
-                f"the Gram matrix must be an IntMatrix, got {type(g).__name__}"
+                f"the Gram matrix must be an IntMatrix, got {type(gram).__name__}"
             )
-        if g.rows != g.cols:
+        if gram.rows != gram.cols:
             raise NotAlternating("gram matrix must be square")
         # one pass over the upper triangle, reading the stored rows directly
-        e = g.entries()
+        e = gram.entries()
         for i, row in enumerate(e):
             if row[i]:
                 raise NotAlternating(f"nonzero diagonal entry at {i}")
-            for j in range(i + 1, g.cols):
+            for j in range(i + 1, gram.cols):
                 if row[j] != -e[j][i]:
                     raise NotAlternating(f"gram[{i}][{j}] != -gram[{j}][{i}]")
+        self.__dict__.update(gram=gram)
 
     @property
     def dim(self) -> int:
         return self.gram.rows
 
 
-@dataclass(frozen=True)
-class PolarizationType:
+class PolarizationType(Record):
     """Divisor chain (d_1 | d_2 | ... | d_k) of positive integers."""
 
-    divisors: tuple[int, ...]
+    _fields = ("divisors",)
 
-    def __post_init__(self):
-        ds = self.divisors
+    def __init__(self, divisors: tuple[int, ...]):
+        ds = divisors
         if not ds or min(_int_argument(d, "a divisor") for d in ds) < 1:
             raise InvalidArgument(f"a polarization type needs positive divisors, got {ds}")
         for a, b in zip(ds, ds[1:]):
             if b % a:
                 raise InvalidArgument(f"divisor chain broken: {a} does not divide {b}")
+        self.__dict__.update(divisors=divisors)
 
     def __iter__(self):
         return iter(self.divisors)
@@ -249,28 +248,39 @@ def is_symplectic(m: IntMatrix, g: int) -> bool:
     return m.transpose() * j * m == j
 
 
-@dataclass(frozen=True)
-class SymplecticMatrix:
-    m: IntMatrix
-    g: int
+class SymplecticMatrix(Record):
+    """A 2g x 2g integer matrix that preserves the standard form J."""
 
-    def __post_init__(self):
-        if not is_symplectic(self.m, self.g):
+    _fields = ("m", "g")
+
+    def __init__(self, m: IntMatrix, g: int):
+        if not is_symplectic(m, g):
             raise NotSymplectic("matrix does not preserve the standard form")
+        self.__dict__.update(m=m, g=g)
 
 
-@dataclass(frozen=True)
-class ConjugacyInvariants:
+class ConjugacyInvariants(Record):
     """Conjugation invariants separating symplectic matrices.
 
     Matrices with different records are provably non-conjugate in
     Sp(2g, Z) (indeed in GL(2g, Z)); equal records are inconclusive.
     """
 
-    char_poly: tuple[int, ...]
-    unipotent: bool
-    snf_m_minus_i: tuple[int, ...]
-    snf_m2_minus_i: tuple[int, ...]
+    _fields = ("char_poly", "unipotent", "snf_m_minus_i", "snf_m2_minus_i")
+
+    def __init__(
+        self,
+        char_poly: tuple[int, ...],
+        unipotent: bool,
+        snf_m_minus_i: tuple[int, ...],
+        snf_m2_minus_i: tuple[int, ...],
+    ):
+        self.__dict__.update(
+            char_poly=char_poly,
+            unipotent=unipotent,
+            snf_m_minus_i=snf_m_minus_i,
+            snf_m2_minus_i=snf_m2_minus_i,
+        )
 
 
 def conjugacy_invariants(m: SymplecticMatrix | IntMatrix) -> ConjugacyInvariants:

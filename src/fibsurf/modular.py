@@ -53,7 +53,6 @@ of two primes near 1.8e12).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import count
@@ -64,6 +63,7 @@ from .errors import (
     LevelTooLarge,
     LevelTooSmall,
     NonIntegralResult,
+    Record,
     UnsupportedCusp,
     _int_argument,
 )
@@ -97,18 +97,21 @@ def __getattr__(name: str):
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
-@dataclass(frozen=True)
-class ModularCurveData:
-    d: int
-    delta: Fraction
-    genus: int
-    cusps: int
+class ModularCurveData(Record):
+    _fields = ("d", "delta", "genus", "cusps")
+
+    def __init__(self, d: int, delta: Fraction, genus: int, cusps: int):
+        self.__dict__.update(d=d, delta=delta, genus=genus, cusps=cusps)
 
 
-@dataclass(frozen=True)
-class CuspRegularityCase:
-    variant: str  # REGULAR or IRREGULAR
-    stabilizer_generator: IntMatrix
+class CuspRegularityCase(Record):
+    """The variant (REGULAR or IRREGULAR) of the cusp at infinity and the
+    generator of its stabilizer."""
+
+    _fields = ("variant", "stabilizer_generator")
+
+    def __init__(self, variant: str, stabilizer_generator: IntMatrix):
+        self.__dict__.update(variant=variant, stabilizer_generator=stabilizer_generator)
 
 
 #: The least strong pseudoprime to every base in _MR_BASES; Miller-Rabin to
@@ -279,6 +282,10 @@ def gamma_d_contains(m: IntMatrix, d: int) -> bool:
 
 
 def normalize_cusp(c) -> str:
+    """The cusp named by c: 0, 1 or inf, as a number or a string.  A bool
+    equals 0 or 1 but names no cusp, so it is refused."""
+    if isinstance(c, bool):
+        raise InvalidCuspSet(f"a cusp is 0, 1 or inf, not the bool {c!r}")
     if c in (0, "0"):
         return CUSP_ZERO
     if c in (1, "1"):

@@ -60,8 +60,8 @@ import functools
 import math
 import os
 import sys
-from dataclasses import dataclass, field
 from itertools import chain
+from numbers import Real
 
 from .errors import (
     DimensionMismatch,
@@ -69,9 +69,11 @@ from .errors import (
     InvalidPeriodData,
     NotInGammaD,
     PostconditionFailed,
+    Record,
     RiemannRelationViolation,
     UnsupportedCombination,
     _int_argument,
+    _rows_argument,
 )
 from .intlinalg import IntMatrix
 from .lattice_core import (
@@ -89,6 +91,9 @@ ComplexMatrix = tuple[tuple[complex, ...], ...]
 
 # the largest degree d whose 1/d^2, an entry of Im T, is a normal double
 _MAX_DEGREE = math.isqrt(int(1.0 / sys.float_info.min))
+
+# the default of PeriodData's tol: read default_tolerance() on construction
+_OMITTED = object()
 
 
 def default_tolerance() -> float:
@@ -185,56 +190,53 @@ def _solve(a, b) -> ComplexMatrix:
     return tuple(tuple(v / row[k] for v in row[n:]) for k, row in enumerate(m))
 
 
-@dataclass(frozen=True)
-class PeriodData:
+class PeriodData(Record):
     """A point (Z, z) of H_{g-1} x H together with the degree d and the
-    tolerance used for all floating checks derived from it."""
+    tolerance used for all floating checks derived from it.  An omitted
+    tol is read from ``default_tolerance()`` when the point is built."""
 
-    g: int
-    d: int
-    Z: ComplexMatrix
-    z: complex
-    tol: float = field(default_factory=default_tolerance)
-    # T at this point, set by the first period_matrix call
-    _period_matrix: PeriodMatrix | None = field(
-        default=None, init=False, repr=False, compare=False
-    )
+    _fields = ("g", "d", "Z", "z", "tol")
+    # memo: T at this point, set by the first period_matrix call
+    _period_matrix: PeriodMatrix | None = None
 
-    def __post_init__(self):
-        if not (isinstance(self.g, int) and isinstance(self.d, int)):
+    def __init__(self, g: int, d: int, Z: ComplexMatrix, z: complex, tol: float = _OMITTED):
+        if not (isinstance(g, int) and isinstance(d, int)):
             raise InvalidPeriodData(
-                f"genus and degree must be integers, got g={self.g!r}, d={self.d!r}"
+                f"genus and degree must be integers, got g={g!r}, d={d!r}"
             )
-        if self.g not in (2, 3):
-            raise InvalidPeriodData(f"genus must be 2 or 3, got {self.g}")
-        if self.d < 2:
-            raise InvalidPeriodData(f"degree must be >= 2, got {self.d}")
-        if self.d > _MAX_DEGREE:
+        if g not in (2, 3):
+            raise InvalidPeriodData(f"genus must be 2 or 3, got {g}")
+        if d < 2:
+            raise InvalidPeriodData(f"degree must be >= 2, got {d}")
+        if d > _MAX_DEGREE:
             raise InvalidPeriodData(
                 f"degree must be at most 2**{_MAX_DEGREE.bit_length() - 1} "
                 f"(about {_MAX_DEGREE:.3g}), so that 1/d^2 is a normal double"
             )
-        if not 0.0 <= self.tol < math.inf:
+        if tol is _OMITTED:
+            tol = default_tolerance()
+        elif isinstance(tol, bool) or not isinstance(tol, Real):
+            raise InvalidPeriodData(f"tolerance must be a real number, got {tol!r}")
+        if not 0.0 <= tol < math.inf:
             raise InvalidPeriodData("tolerance must be finite and nonnegative")
-        h = self.g - 1
+        h = g - 1
         try:
-            rows = tuple(tuple(complex(v) for v in row) for row in self.Z)
-            z_val = complex(self.z)
+            rows = tuple(tuple(complex(v) for v in row) for row in Z)
+            z = complex(z)
         except (TypeError, ValueError) as exc:
             raise InvalidPeriodData(f"malformed period data: {exc}") from exc
         if len(rows) != h or any(len(row) != h for row in rows):
             raise InvalidPeriodData(f"Z must be {h}x{h}")
-        if not all(map(cmath.isfinite, chain((z_val,), *rows))):
+        if not all(map(cmath.isfinite, chain((z,), *rows))):
             raise InvalidPeriodData("Z and z must have finite entries")
-        object.__setattr__(self, "Z", rows)
-        object.__setattr__(self, "z", z_val)
         asym = _max_abs_diff(rows, _transpose(rows))
-        if not asym <= self.tol:
+        if not asym <= tol:
             raise InvalidPeriodData(f"Z is not symmetric (defect {asym:.3e})")
-        if not _unit_diagonal_cholesky_pivot(_symmetric_imag(rows)) > self.tol:
+        if not _unit_diagonal_cholesky_pivot(_symmetric_imag(rows)) > tol:
             raise InvalidPeriodData("Im(Z) is not positive definite")
-        if not self.z.imag > 0:
+        if not z.imag > 0:
             raise InvalidPeriodData("z must lie in the upper half plane")
+        self.__dict__.update(g=g, d=d, Z=rows, z=z, tol=tol)
 
     def _moved(self, z: complex) -> PeriodData:
         """This point with z replaced by the complex z.  g, d, Z and tol are
@@ -244,7 +246,7 @@ class PeriodData:
         if not z.imag > 0:
             raise InvalidPeriodData("z must lie in the upper half plane")
         moved = object.__new__(PeriodData)
-        vars(moved).update(vars(self), z=z, _period_matrix=None)
+        vars(moved).update(g=self.g, d=self.d, Z=self.Z, z=z, tol=self.tol)
         return moved
 
 
@@ -264,12 +266,13 @@ def lattice_sections(p: PeriodData) -> tuple[tuple[complex, ...], ...]:
     return tuple(u)
 
 
-@dataclass(frozen=True)
-class PeriodMatrix:
+class PeriodMatrix(Record):
     """A Riemann matrix in the beta-normalized frame described above."""
 
-    T: ComplexMatrix
-    basis_labels: tuple[str, ...]
+    _fields = ("T", "basis_labels")
+
+    def __init__(self, T: ComplexMatrix, basis_labels: tuple[str, ...]):
+        self.__dict__.update(T=T, basis_labels=basis_labels)
 
 
 def period_matrix(p: PeriodData) -> PeriodMatrix:
@@ -304,9 +307,10 @@ def period_matrix(p: PeriodData) -> PeriodMatrix:
 
 def siegel_action(m: IntMatrix, t) -> ComplexMatrix:
     """Action of a 2g x 2g block matrix [[A,B],[C,D]] on a g x g Riemann
-    matrix T (any nested sequence): T -> (A T + B)(C T + D)^{-1}, computed
-    as the solve (C T + D)^t X^t = (A T + B)^t and returned as tuples."""
-    n = [[complex(v) for v in row] for row in t]
+    matrix T (any nested sequence of rows, no text): T -> (A T + B)(C T + D)^{-1},
+    computed as the solve (C T + D)^t X^t = (A T + B)^t and returned as
+    tuples."""
+    n = [[complex(v) for v in row] for row in _rows_argument(t, "T")]
     g = len(n)
     if m.rows != 2 * g or m.cols != 2 * g or any(len(row) != g for row in n):
         raise DimensionMismatch(f"expected a {2 * g}x{2 * g} matrix and a {g}x{g} T")
@@ -365,12 +369,13 @@ def gamma_action_defect(p: PeriodData, m: IntMatrix) -> float:
     return _max_abs_diff(phis, images)
 
 
-@dataclass(frozen=True)
-class MonodromyMatrix:
+class MonodromyMatrix(Record):
     """A symplectic monodromy transformation tagged by its cusp case."""
 
-    m: SymplecticMatrix
-    cusp_case: str
+    _fields = ("m", "cusp_case")
+
+    def __init__(self, m: SymplecticMatrix, cusp_case: str):
+        self.__dict__.update(m=m, cusp_case=cusp_case)
 
 
 # the degree-2 irregular-cusp monodromy for genus 3

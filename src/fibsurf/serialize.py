@@ -5,18 +5,21 @@ integers become decimal strings; fractions the reduced "p/q" form; complex
 numbers become [re, im] pairs of decimal strings (shortest round-trip
 repr); integer and complex matrices become {"rows": n, "cols": m,
 "entries": [[...], ...]} with numeric shape fields and string entries.
-Dataclasses serialize the fields they compare by, by field name, with the
-trailing-underscore escape for Python keywords stripped (``lambda_`` ->
-"lambda"); a memo field (``compare=False``) is not part of the value.
+Records (``errors.Record``) serialize their fields, in the order of the
+class's ``_fields``, by field name, with the trailing-underscore escape for
+Python keywords stripped (``lambda_`` -> "lambda").  A record is a value of
+its own class: its fields are what it compares, hashes and prints by, it
+equals no plain tuple or other record type, and it is frozen (``_replace``
+builds a new one).  A memo kept on a record is not a field, so not part of
+the value.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import json
 from fractions import Fraction
 
-from .errors import UsageError
+from .errors import Record, UsageError
 
 # IntMatrix (in annotations) is imported from .intlinalg only where a matrix
 # is read or written, so that the CLI's level subcommands never load the
@@ -24,7 +27,7 @@ from .errors import UsageError
 
 
 def _field_name(name: str) -> str:
-    """The JSON key or TSV column of a dataclass field (``lambda_`` -> "lambda")."""
+    """The JSON key or TSV column of a record field (``lambda_`` -> "lambda")."""
     return name[:-1] if name.endswith("_") else name
 
 
@@ -53,12 +56,8 @@ def to_jsonable(obj):
         return [repr(obj.real), repr(obj.imag)]
     if isinstance(obj, Fraction):
         return str(obj)
-    if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
-        return {
-            _field_name(f.name): to_jsonable(getattr(obj, f.name))
-            for f in dataclasses.fields(obj)
-            if f.compare
-        }
+    if isinstance(obj, Record):
+        return {_field_name(f): to_jsonable(v) for f, v in zip(obj._fields, obj._values())}
     if isinstance(obj, dict):
         return {str(k): to_jsonable(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple, frozenset, set)):

@@ -3,7 +3,6 @@
 import hashlib
 import json
 import math
-from dataclasses import replace
 from random import Random
 
 import pytest
@@ -332,7 +331,7 @@ def test_verification_is_remembered_per_problem_object(monkeypatch):
 
     monkeypatch.setattr(SmithForm, "solve", counted)
     assert is_adapted_basis(p, b) and solves[0] == 0
-    q, fresh = replace(p), AdaptedBasis(g=b.g, d=b.d, vectors=b.vectors)
+    q, fresh = p._replace(), AdaptedBasis(g=b.g, d=b.d, vectors=b.vectors)
     assert q == p and q is not p
     assert fresh == b and hash(fresh) == hash(b) and repr(fresh) == repr(b)
     assert is_adapted_basis(q, b) and solves[0] == 1
@@ -420,10 +419,10 @@ def _failing_only(p: AdaptedBasisProblem, k: int, shift: bool) -> AdaptedBasisPr
     generator of the other one: the pairings with the part stay the same,
     the span does not."""
     if k == 1:
-        return replace(p, U=IntMatrix.from_columns(p.U_A.columns() + p.U_E.columns()))
+        return p._replace(U=IntMatrix.from_columns(p.U_A.columns() + p.U_E.columns()))
     if k == 2:
-        return replace(p, U_A=_shifted_first(p.U_A, p.U_E) if shift else _doubled_first(p.U_A))
-    return replace(p, U_E=_shifted_first(p.U_E, p.U_A) if shift else _doubled_first(p.U_E))
+        return p._replace(U_A=_shifted_first(p.U_A, p.U_E) if shift else _doubled_first(p.U_A))
+    return p._replace(U_E=_shifted_first(p.U_E, p.U_A) if shift else _doubled_first(p.U_E))
 
 
 @pytest.mark.parametrize("g, d, seed", [(2, 3, 501), (3, 4, 502), (3, 2, 503)])
@@ -444,9 +443,9 @@ def test_sublattice_with_a_wrong_generator_count_is_a_dimension_mismatch():
     b = construct_adapted_basis(p)
     extra = p.U_E.columns()[:1]
     for q in (
-        replace(p, U_A=IntMatrix.from_columns(p.U_A.columns() + extra)),
-        replace(p, U_A=IntMatrix.from_columns(p.U_A.columns()[:-1])),
-        replace(p, U_E=IntMatrix.from_columns(p.U_E.columns() + extra)),
+        p._replace(U_A=IntMatrix.from_columns(p.U_A.columns() + extra)),
+        p._replace(U_A=IntMatrix.from_columns(p.U_A.columns()[:-1])),
+        p._replace(U_E=IntMatrix.from_columns(p.U_E.columns() + extra)),
     ):
         with pytest.raises(DimensionMismatch):
             is_adapted_basis(q, b)
@@ -486,7 +485,7 @@ def bases_and_problems(draw):
     elif kind == "problem":
         p = _failing_only(p, draw(st.integers(1, 3)), draw(st.booleans()))
     elif kind == "off_span":  # one generator of U_A replaced by one of U_E
-        p = replace(p, U_A=IntMatrix.from_columns(p.U_A.columns()[:-1] + p.U_E.columns()[:1]))
+        p = p._replace(U_A=IntMatrix.from_columns(p.U_A.columns()[:-1] + p.U_E.columns()[:1]))
     return p, AdaptedBasis(g=g, d=d, vectors=tuple(vectors))
 
 
@@ -553,7 +552,7 @@ def test_coprime_congruent_pair_rejects_imprimitive_frame():
         (lambda: is_symplectic(IntMatrix.identity(3), 1.5), "genus g must be an integer"),
         (lambda: canonical_problem(2.5, 3), "genus g must be an integer"),
         (
-            lambda: construct_adapted_basis(replace(canonical_problem(2, 3), d=3.0)),
+            lambda: construct_adapted_basis(canonical_problem(2, 3)._replace(d=3.0)),
             "degree d must be an integer",
         ),
         (lambda: canonical_problem(1, 3), "g >= 2 and d >= 2"),

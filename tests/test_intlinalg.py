@@ -216,6 +216,32 @@ def test_immutability():
         m.rows = 5
 
 
+@pytest.mark.parametrize(
+    "entries",
+    [
+        ["12"], "3", [b"12"], [bytearray(b"12")], b"12", bytearray(b"12"), [[1, 2], ""],
+        iter([[1, 2], "34"]),
+    ],
+    ids=[
+        "str-row", "str", "bytes-row", "bytearray-row", "bytes", "bytearray", "empty-str-row",
+        "iterator",
+    ],
+)
+def test_text_is_no_matrix_and_no_row(entries):
+    """["12"] was read as the row 1 2, "3" as [3] and [b"12"] as the
+    character codes [49 50]."""
+    with pytest.raises(InvalidArgument, match="text"):
+        IntMatrix(entries)
+
+
+def test_rows_are_read_once():
+    """One-shot rows and matrices are read once, and a decimal string is
+    still an entry."""
+    want = IntMatrix([[1, 2], [3, 4]])
+    assert IntMatrix(iter([[1, "2"], ("3", 4)])) == want
+    assert IntMatrix((x for x in r) for r in ((1, 2), (3, 4))) == want
+
+
 def test_power_rejects_negative_exponent():
     with pytest.raises(DimensionMismatch):
         IntMatrix([[1, 1], [1, 1]]).power(-1)

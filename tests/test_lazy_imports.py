@@ -2,6 +2,7 @@
 public name loads only the module that defines it (and what that module
 imports), and each CLI subcommand imports only what it uses."""
 
+import ast
 import os
 import subprocess
 import sys
@@ -112,3 +113,48 @@ def test_level_subcommands_do_not_load_the_exact_core(argv, needed):
     loaded = {line.rsplit("|", 1)[-1].strip() for line in proc.stderr.splitlines()}
     assert needed in loaded
     assert not loaded & {"fibsurf.intlinalg", "fibsurf.lattice_core"}
+
+
+def test_no_module_imports_dataclasses():
+    """The records derive from ``errors.Record``; ``dataclasses`` (and the
+    ``inspect`` it loads) would cost every cold start several milliseconds."""
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            assert not any(n.split(".")[0] == "dataclasses" for n in names), path.name
+
+
+@pytest.mark.parametrize(
+    "argv, module",
+    [
+        (
+            ("period", "--g", "3", "--d", "4", "--Z", "[[[0, 1], [0.5, 0]], [[0.5, 0], [0, 2]]]",
+             "--z", "0,1"),
+            "fibsurf.periods",
+        ),
+        (("invariants", "--g", "3", "--d", "4"), "fibsurf.invariants"),
+        (("adapted-basis", "--input", "{problem}"), "fibsurf.adapted"),
+    ],
+    ids=["period", "invariants", "adapted-basis"],
+)
+def test_record_subcommands_load_neither_dataclasses_nor_inspect(argv, module, tmp_path):
+    """Between them these three load all five record modules."""
+    from fibsurf import canonical_problem
+    from fibsurf.serialize import encode_json
+
+    p = canonical_problem(2, 3)
+    problem = tmp_path / "problem.json"
+    problem.write_text(
+        encode_json({"g": p.g, "d": p.d, "U": p.U, "gram": p.form.gram, "U_A": p.U_A, "U_E": p.U_E}),
+        encoding="utf-8",
+    )
+    argv = [str(problem) if a == "{problem}" else a for a in argv]
+    proc = _run("-X", "importtime", "-m", "fibsurf.cli", *argv)
+    loaded = {line.rsplit("|", 1)[-1].strip() for line in proc.stderr.splitlines()}
+    assert module in loaded
+    assert not loaded & {"dataclasses", "inspect"}

@@ -172,6 +172,13 @@ def test_normalize_cusp_variants():
         normalize_cusp("2")
 
 
+@pytest.mark.parametrize("c", [True, False])
+def test_normalize_cusp_refuses_bools(c):
+    """True equals 1 and False equals 0, and they were read as those cusps."""
+    with pytest.raises(InvalidCuspSet, match="bool"):
+        normalize_cusp(c)
+
+
 def test_admissible_cusp_sets():
     assert normalize_cusp_set(["inf"]) == frozenset({CUSP_INF})
     assert normalize_cusp_set({0, 1, "oo"}) == frozenset(

@@ -131,6 +131,21 @@ def test_period_data_rejects_non_finite(fields):
         PeriodData(**kwargs)
 
 
+@pytest.mark.parametrize("tol", [None, "1e-9", True], ids=["None", "str", "bool"])
+def test_period_data_refuses_a_tolerance_that_is_no_real_number(tol):
+    """None and a string once ended in a raw TypeError from the range
+    check, and True was read as the tolerance 1."""
+    with pytest.raises(InvalidPeriodData, match="real number"):
+        PeriodData(g=2, d=3, Z=((1j,),), z=1j, tol=tol)
+
+
+def test_an_omitted_tolerance_is_read_when_the_point_is_built(monkeypatch):
+    monkeypatch.setenv("FIBSURF_TOL", "1e-6")
+    p = PeriodData(g=2, d=3, Z=((1j,),), z=1j)
+    monkeypatch.setenv("FIBSURF_TOL", "1e-3")
+    assert p.tol == 1e-6 and PeriodData(g=2, d=3, Z=((1j,),), z=1j).tol == 1e-3
+
+
 def test_period_data_refuses_degrees_beyond_normal_doubles():
     """Im T has the entry Im(Z)/d^2, so a degree whose 1/d^2 is not a
     normal double is refused before any float is formed; the largest
@@ -288,6 +303,16 @@ def test_gamma_action_requires_congruence():
         gamma_action(p, IntMatrix([[1, 1], [0, 1]]))
     with pytest.raises(DimensionMismatch):
         gamma_action(p, IntMatrix.identity(3))
+
+
+@pytest.mark.parametrize(
+    "m", [[[1, 0, 0], [0, 1, 0]], [[1, 0], [0, 1], [0, 0]]], ids=["2x3", "3x2"]
+)
+def test_gamma_action_refuses_a_matrix_that_is_not_2x2(m):
+    p = reference_point(2, 3)
+    for action in (gamma_action, gamma_action_defect):
+        with pytest.raises(DimensionMismatch, match="2x2"):
+            action(p, IntMatrix(m))
 
 
 @pytest.mark.parametrize(
@@ -457,7 +482,7 @@ def test_each_constant_and_point_checked_once(monkeypatch):
 
         return wrapper
 
-    monkeypatch.setattr(PeriodData, "__post_init__", counting("validate", PeriodData.__post_init__))
+    monkeypatch.setattr(PeriodData, "__init__", counting("validate", PeriodData.__init__))
     monkeypatch.setattr(fibsurf.periods, "PeriodMatrix", counting("solve", fibsurf.periods.PeriodMatrix))
     monkeypatch.setattr(
         fibsurf.lattice_core, "is_symplectic", counting("symplectic", fibsurf.lattice_core.is_symplectic)
@@ -479,6 +504,19 @@ def test_siegel_action_dimension_check():
         siegel_action(IntMatrix.identity(4), np.eye(3, dtype=complex))
     with pytest.raises(DimensionMismatch):
         siegel_action(IntMatrix.identity(4), [[1j, 0], [0]])
+
+
+@pytest.mark.parametrize(
+    "t",
+    ["3", ["3"], [b"3"], [bytearray(b"3")]],
+    ids=["str", "str-row", "bytes-row", "bytearray-row"],
+)
+def test_siegel_action_refuses_text_for_t(t):
+    """The string "3" was read as the 1x1 matrix [[3]], and answered."""
+    with pytest.raises(InvalidArgument, match="text"):
+        siegel_action(IntMatrix([[1, 1], [0, 1]]), t)
+    # a decimal string is still an entry
+    assert siegel_action(IntMatrix([[1, 1], [0, 1]]), [["3"]]) == ((4 + 0j,),)
 
 
 def test_siegel_action_matches_numpy():
