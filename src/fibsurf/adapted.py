@@ -67,6 +67,7 @@ from .errors import (
     QuotientNotBicyclic,
     Record,
     _int_argument,
+    _rows_argument,
 )
 from .intlinalg import IntMatrix, SmithForm, _column_lattice_basis, smith_normal_form
 from .lattice_core import (
@@ -170,6 +171,7 @@ class AdaptedBasis(Record):
         g, d = _int_argument(g, "the genus g"), _int_argument(d, "the degree d")
         if g < 2 or d < 2:
             raise DimensionMismatch("adapted bases need g >= 2 and d >= 2")
+        vectors = _rows_argument(vectors, "adapted basis vectors")
         if len(vectors) != 2 * g:
             raise DimensionMismatch(f"expected {2 * g} vectors, got {len(vectors)}")
         n = len(vectors[0])

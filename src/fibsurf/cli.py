@@ -196,12 +196,12 @@ def _cmd_adapted_basis(args) -> tuple[object, tuple | None, int]:
 
 
 def _cmd_period(args) -> tuple[object, tuple | None, int]:
-    from .periods import PeriodData, default_tolerance, period_matrix
+    from .periods import PeriodData, period_matrix
 
     z_mat = parse_complex_matrix(_loads(args.Z, "--Z"))
     z = parse_complex_pair(args.z)
-    tol = args.tol if args.tol is not None else default_tolerance()
-    p = PeriodData(g=args.g, d=args.d, Z=z_mat, z=z, tol=tol)
+    tol = {} if args.tol is None else {"tol": args.tol}  # PeriodData reads an omitted tol
+    p = PeriodData(g=args.g, d=args.d, Z=z_mat, z=z, **tol)
     pm = period_matrix(p)
     payload = {
         "T": complex_matrix_jsonable(pm.T),

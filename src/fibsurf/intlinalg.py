@@ -5,9 +5,10 @@ downstream facts — polarization types, group membership, unimodularity — are
 exact statements.  Matrices are small (at most about 12x12 in practice), so
 the classical fraction-free algorithms below are entirely adequate.
 
-It exports ``IntMatrix``, ``SmithForm``, ``smith_normal_form`` and
-``char_poly``; ``_unimodular_inverse`` (behind ``SmithForm.s_inv``, ``t_inv``)
-and ``_column_lattice_basis`` (for ``adapted``) are private to the package.
+It exports ``IntMatrix``, the record ``SmithForm`` (an ``errors.Record``,
+like every answer type), ``smith_normal_form`` and ``char_poly``;
+``_unimodular_inverse`` (behind ``SmithForm.s_inv``, ``t_inv``) and
+``_column_lattice_basis`` (for ``adapted``) are private to the package.
 
 Conventions:
   * ``IntMatrix`` is immutable; entries are stored row-major as a tuple of
@@ -43,12 +44,13 @@ Conventions:
 from __future__ import annotations
 
 from operator import add, mul, sub
-from typing import Iterable, NamedTuple, Sequence
+from typing import Iterable, Sequence
 
 from .errors import (
     DimensionMismatch,
     InvalidArgument,
     PostconditionFailed,
+    Record,
     _int_argument,
     _rows_argument,
 )
@@ -274,12 +276,13 @@ _set_cols = IntMatrix.cols.__set__
 _set_e = IntMatrix._e.__set__
 
 
-class SmithForm(NamedTuple):
+class SmithForm(Record):
     """S * A * T = D with S, T unimodular; s_inv, t_inv are computed on read."""
 
-    d: IntMatrix
-    s: IntMatrix
-    t: IntMatrix
+    _fields = ("d", "s", "t")
+
+    def __init__(self, d: IntMatrix, s: IntMatrix, t: IntMatrix):
+        self.__dict__.update(d=d, s=s, t=t)
 
     @property
     def s_inv(self) -> IntMatrix:

@@ -66,13 +66,13 @@ class PolarizationType(Record):
     _fields = ("divisors",)
 
     def __init__(self, divisors: tuple[int, ...]):
-        ds = divisors
+        ds = tuple(divisors)
         if not ds or min(_int_argument(d, "a divisor") for d in ds) < 1:
             raise InvalidArgument(f"a polarization type needs positive divisors, got {ds}")
         for a, b in zip(ds, ds[1:]):
             if b % a:
                 raise InvalidArgument(f"divisor chain broken: {a} does not divide {b}")
-        self.__dict__.update(divisors=divisors)
+        self.__dict__.update(divisors=ds)
 
     def __iter__(self):
         return iter(self.divisors)

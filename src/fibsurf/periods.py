@@ -43,13 +43,13 @@ pivot is > tol: Im T has diagonal entries from Im(Z)/d^2 up to Im(z)/d,
 and one rule for both keeps every scale of Im Z valid.  The degree is at
 most 2**511, so that 1/d^2 is a normal double.
 
-CHECKS.  Each check runs once per thing it depends on.  The regular
-monodromy depends only on g, so it is built and verified symplectic once
-per genus.  A PeriodData is validated in full once, when it is
-constructed.  The moved points z + d (monodromy_translation_defect) and
-Mz (gamma_action) keep its g, d, Z and tol, so only their z is checked
-again, on every move: it must be finite with Im z > 0, and Im(Mz) can
-underflow to 0.  T is solved and its relations verified once per point,
+CHECKS.  Each check runs once per thing it depends on.  A cusp's
+monodromy depends only on g and the cusp case, so it is built and
+verified symplectic once per (g, case).  A PeriodData is validated in
+full once, when it is constructed.  The moved points z + d
+(monodromy_translation_defect) and Mz (gamma_action) keep its g, d, Z and
+tol, so only their z is checked again, on every move: it must be finite
+with Im z > 0, and Im(Mz) can underflow to 0.  T is solved and its relations verified once per point,
 then kept on the PeriodData.
 """
 
@@ -221,9 +221,9 @@ class PeriodData(Record):
             raise InvalidPeriodData("tolerance must be finite and nonnegative")
         h = g - 1
         try:
-            rows = tuple(tuple(complex(v) for v in row) for row in Z)
+            rows = tuple(tuple(map(complex, row)) for row in _rows_argument(Z, "Z"))
             z = complex(z)
-        except (TypeError, ValueError) as exc:
+        except (InvalidArgument, TypeError, ValueError) as exc:
             raise InvalidPeriodData(f"malformed period data: {exc}") from exc
         if len(rows) != h or any(len(row) != h for row in rows):
             raise InvalidPeriodData(f"Z must be {h}x{h}")
@@ -310,7 +310,10 @@ def siegel_action(m: IntMatrix, t) -> ComplexMatrix:
     matrix T (any nested sequence of rows, no text): T -> (A T + B)(C T + D)^{-1},
     computed as the solve (C T + D)^t X^t = (A T + B)^t and returned as
     tuples."""
-    n = [[complex(v) for v in row] for row in _rows_argument(t, "T")]
+    try:
+        n = [list(map(complex, row)) for row in _rows_argument(t, "T")]
+    except (TypeError, ValueError) as exc:
+        raise InvalidArgument(f"T must have complex entries: {exc}") from exc
     g = len(n)
     if m.rows != 2 * g or m.cols != 2 * g or any(len(row) != g for row in n):
         raise DimensionMismatch(f"expected a {2 * g}x{2 * g} matrix and a {g}x{g} T")
@@ -390,11 +393,15 @@ _IRREGULAR_G3_D2 = (
 
 
 @functools.cache
-def _regular_monodromy(g: int) -> MonodromyMatrix:
-    """I_{2g} + E_{g,2g}, built and verified symplectic once per genus."""
-    entries = [[1 if i == j else 0 for j in range(2 * g)] for i in range(2 * g)]
-    entries[g - 1][2 * g - 1] = 1
-    return MonodromyMatrix(m=SymplecticMatrix(IntMatrix(entries), g), cusp_case=REGULAR)
+def _monodromy(g: int, case: str) -> MonodromyMatrix:
+    """I_{2g} + E_{g,2g} for a regular cusp, ``_IRREGULAR_G3_D2`` (g = 3)
+    for the irregular one, built and verified symplectic once per (g, case)."""
+    if case == REGULAR:
+        entries = [[1 if i == j else 0 for j in range(2 * g)] for i in range(2 * g)]
+        entries[g - 1][2 * g - 1] = 1
+    else:
+        entries = _IRREGULAR_G3_D2
+    return MonodromyMatrix(m=SymplecticMatrix(IntMatrix(entries), g), cusp_case=case)
 
 
 def monodromy_at_cusp(g: int, d: int, case: str = REGULAR) -> MonodromyMatrix:
@@ -411,17 +418,14 @@ def monodromy_at_cusp(g: int, d: int, case: str = REGULAR) -> MonodromyMatrix:
             raise UnsupportedCombination(
                 f"regular monodromy needs g in {{2, 3}} and d >= 2, got ({g}, {d})"
             )
-        return _regular_monodromy(g)
+        return _monodromy(g, REGULAR)
     if case == IRREGULAR:
         if g != 3 or d != 2:
             raise UnsupportedCombination(
                 f"irregular monodromy is implemented only for g=3, d=2, "
                 f"got ({g}, {d})"
             )
-        return MonodromyMatrix(
-            m=SymplecticMatrix(IntMatrix([list(r) for r in _IRREGULAR_G3_D2]), 3),
-            cusp_case=IRREGULAR,
-        )
+        return _monodromy(3, IRREGULAR)
     raise UnsupportedCombination(f"unknown cusp case {case!r}")
 
 

@@ -80,7 +80,7 @@ def test_smith_form_certificate(a):
     assert all(v >= 0 for v in diag)
     for u, v in zip(diag, diag[1:]):
         assert (v == 0) if u == 0 else (v % u == 0)
-    for m in snf:
+    for m in (snf.d, snf.s, snf.t):
         assert _all_int(m)
 
 

@@ -110,6 +110,13 @@ def test_period_data_validation():
         PeriodData(g=2, d=3, Z=((1j,),), z=1j, tol=-1.0)
 
 
+@pytest.mark.parametrize("z_mat", ["j", ["j"], [b"j"]], ids=["str", "str-row", "bytes-row"])
+def test_period_data_refuses_text_for_z(z_mat):
+    """Z="j" was read one character at a time, as ((1j,),), and accepted."""
+    with pytest.raises(InvalidPeriodData, match="text"):
+        PeriodData(g=2, d=2, Z=z_mat, z=1j)
+
+
 NAN, INF = float("nan"), float("inf")
 
 
@@ -487,7 +494,7 @@ def test_each_constant_and_point_checked_once(monkeypatch):
     monkeypatch.setattr(
         fibsurf.lattice_core, "is_symplectic", counting("symplectic", fibsurf.lattice_core.is_symplectic)
     )
-    fibsurf.periods._regular_monodromy.cache_clear()  # start from an empty cache
+    fibsurf.periods._monodromy.cache_clear()  # start from an empty cache
     rng = Random(513)
     for g, d in ((2, 3), (3, 4), (2, 5), (3, 3)):
         counts["validate"] = counts["solve"] = 0
@@ -497,6 +504,20 @@ def test_each_constant_and_point_checked_once(monkeypatch):
         assert gamma_action_defect(p, random_gamma_d_element(rng, d, max_len=3)) < 1e-7
         assert (counts["validate"], counts["solve"]) == (1, 2)
     assert counts["symplectic"] == 2
+
+
+def test_both_cusp_monodromies_built_once(monkeypatch):
+    """The irregular monodromy, like the regular one, is built and verified
+    symplectic once; it was built again on every call."""
+    original = fibsurf.lattice_core.is_symplectic
+    calls = []
+    monkeypatch.setattr(
+        fibsurf.lattice_core, "is_symplectic", lambda *args: calls.append(args) or original(*args)
+    )
+    fibsurf.periods._monodromy.cache_clear()  # start from an empty cache
+    first = [monodromy_at_cusp(3, 2, case) for case in (REGULAR, IRREGULAR)]
+    again = [monodromy_at_cusp(3, 2, case) for case in (REGULAR, IRREGULAR)]
+    assert len(calls) == 2 and all(a is b for a, b in zip(first, again))
 
 
 def test_siegel_action_dimension_check():
@@ -517,6 +538,13 @@ def test_siegel_action_refuses_text_for_t(t):
         siegel_action(IntMatrix([[1, 1], [0, 1]]), t)
     # a decimal string is still an entry
     assert siegel_action(IntMatrix([[1, 1], [0, 1]]), [["3"]]) == ((4 + 0j,),)
+
+
+@pytest.mark.parametrize("t", [[["x"]], [[None]]], ids=["malformed-str", "None"])
+def test_siegel_action_refuses_entries_that_are_no_numbers(t):
+    """complex() raised a raw ValueError or TypeError on these entries."""
+    with pytest.raises(InvalidArgument, match="complex entries"):
+        siegel_action(IntMatrix([[1, 1], [0, 1]]), t)
 
 
 def test_siegel_action_matches_numpy():

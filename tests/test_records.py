@@ -3,6 +3,8 @@ equal only to a record of that class with equal fields, frozen, and
 rebuilt, with its validation, by ``_replace``.  The reprs are pinned in the
 format every record has printed in since the first release."""
 
+import json
+
 import pytest
 
 from fibsurf import (
@@ -25,6 +27,7 @@ from fibsurf import (
     PeriodMatrix,
     PolarizationType,
     SingularFibreType,
+    SmithForm,
     SurfaceInvariants,
     SymplecticMatrix,
     canonical_problem,
@@ -35,6 +38,7 @@ from fibsurf import (
     modular_data,
     monodromy_at_cusp,
     period_matrix,
+    smith_normal_form,
 )
 from fibsurf.errors import Record
 from fibsurf.modular import REGULAR
@@ -111,6 +115,11 @@ RECORDS = [
         "SingularFibreType(genus=2, variant='TwoEllipticOneNode', euler_defect=1)",
     ),
     (
+        SmithForm,
+        lambda: smith_normal_form(IntMatrix([[2, 4], [6, 8]])),
+        "SmithForm(d=IntMatrix[2 0; 0 4], s=IntMatrix[1 0; 3 -1], t=IntMatrix[1 -2; 0 1])",
+    ),
+    (
         FibreTypeCatalogue,
         lambda: fibre_types(2),
         "FibreTypeCatalogue(genus=2, types=(SingularFibreType(genus=2, "
@@ -126,7 +135,7 @@ def test_every_record_type_is_listed():
 
     exported = [getattr(fibsurf, name) for names in fibsurf._EXPORTS.values() for name in names]
     records = {v.__name__ for v in exported if isinstance(v, type) and issubclass(v, Record)}
-    assert records == set(IDS) and len(IDS) == 14
+    assert records == set(IDS) and len(IDS) == 15
 
 
 @pytest.mark.parametrize("cls, make, text", RECORDS, ids=IDS)
@@ -205,3 +214,22 @@ def test_memos_are_no_fields():
     assert b._verified_for is problem and b._replace()._verified_for is None
     assert encode_json(b) == encode_json(b._replace())
     assert "factored_U" in vars(problem) and "factored_U" not in vars(problem._replace())
+
+
+def test_smith_form_is_a_record_in_json_too():
+    """A SmithForm is written as an object keyed by field name, like every
+    record; as a NamedTuple it was written as a JSON list."""
+    snf = smith_normal_form(IntMatrix([[2]]))
+    assert list(json.loads(encode_json(snf))) == ["d", "s", "t"]
+
+
+@pytest.mark.parametrize("kind", [list, iter], ids=["list", "iterator"])
+def test_sequence_fields_are_read_once_into_tuples(kind):
+    """A list kept as given made the record unhashable and unequal to its
+    tuple-built twin; a one-shot iterator is read once."""
+    ptype = PolarizationType(kind([1, 2]))
+    assert ptype == PolarizationType((1, 2)) and hash(ptype) == hash(PolarizationType((1, 2)))
+    basis = construct_adapted_basis(canonical_problem(2, 2))
+    twin = AdaptedBasis(2, 2, kind([list(v) for v in basis.vectors]))
+    assert twin == basis and hash(twin) == hash(basis) and repr(twin) == repr(basis)
+    assert PeriodData(g=2, d=2, Z=kind([[1j]]), z=1j, tol=1e-9) == _point()
